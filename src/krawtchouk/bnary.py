@@ -94,3 +94,8 @@ def as_int(v) -> int:
     if f.denominator != 1:
         raise ValueError(f"expected an integer value, got {f}")
     return f.numerator
+
+
+def is_int(v) -> bool:
+    """True for an int that is not a bool, the only accepted integer input."""
+    return isinstance(v, int) and not isinstance(v, bool)

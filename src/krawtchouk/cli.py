@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .bnary import is_int
 from .eigenvalues import c_poly, check_recurrence, eigenmatrix
 from .macwilliams import (
     TransformInput,
@@ -66,7 +67,7 @@ def _parse_weights(text: str, n: int):
         weights = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--weights is not valid JSON: {exc}") from None
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not isinstance(weights, list) or not all(is_int(w) for w in weights):
         raise ValueError("--weights must be a JSON array of integers")
     if len(weights) != n + 1:
         raise ValueError(f"--weights needs {n + 1} entries for this scheme")

@@ -103,7 +103,7 @@ def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
     return _eigenmatrix_cached(params)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
 def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
     n = params.n
     rows = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balgebra import b_product, mu_family, nu_family
-from .bnary import bpow, gamma, gauss, sigma
+from .bnary import bpow, gamma, gauss, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix
 
 
@@ -30,12 +30,16 @@ class TransformInput:
 
     def __post_init__(self):
         n = self.params.n
-        dist = tuple(int(v) for v in self.dist)
+        dist = tuple(self.dist)
         object.__setattr__(self, "dist", dist)
         if len(dist) != n + 1:
             raise ValueError(f"distribution must have {n + 1} entries")
+        if not all(is_int(v) for v in dist):
+            raise ValueError("distribution entries must be integers")
         if any(v < 0 for v in dist):
             raise ValueError("distribution entries must be nonnegative")
+        if not is_int(self.code_size):
+            raise ValueError(f"code size must be an integer, got {self.code_size!r}")
         if self.code_size < 1:
             raise ValueError("code size must be positive")
         if sum(dist) != self.code_size:

@@ -4,8 +4,11 @@ Elements of every scheme are handled as coordinate vectors over the field
 the codes are linear over (F_q, or F_{q^m} for the vector rank space), with
 the structural shape (matrix, alternating matrix, conjugate-symmetric
 matrix) reconstructed on demand for weight computation.  Everything here is
-exhaustive and deliberately naive; it exists to verify the algebraic side,
-not to be fast.
+exhaustive; it exists to verify the algebraic side.  The one concession to
+speed is that each space, the first time it is enumerated, computes every
+element's weight once and keeps an element -> weight table beside the
+weight buckets; the axiom and character-sum loops read weights from that
+table instead of recomputing a matrix rank per lookup.
 
 Duality pairings per kind:
   hamming     sum x_i y_i over F_q
@@ -19,6 +22,7 @@ A Gram-matrix nondegeneracy assertion guards each choice.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -82,6 +86,7 @@ class SchemeSpace:
                 f"duality form for {kind} is degenerate; pairing choice is wrong"
             )
         self._buckets = None
+        self._weights = None
 
     # -- structure ----------------------------------------------------------
 
@@ -104,8 +109,8 @@ class SchemeSpace:
         return tuple(add[a][b] for a, b in zip(u, v))
 
     def sub(self, u, v):
-        gf = self.gf
-        return tuple(gf.sub(a, b) for a, b in zip(u, v))
+        add, neg = self.gf.add_table, self.gf.neg_table
+        return tuple(add[a][neg[b]] for a, b in zip(u, v))
 
     def smul(self, s, u):
         mul = self.gf.mul_table
@@ -208,24 +213,41 @@ class SchemeSpace:
         return out
 
     def weight_buckets(self):
-        """All elements of the space grouped by weight (cached)."""
+        """All elements of the space grouped by weight (cached).
+
+        The first call computes each element's weight once, through
+        `weight`, and fills the weight table alongside the buckets.
+        """
         if self._buckets is None:
             buckets = [[] for _ in range(self.params.n + 1)]
+            weights = {}
             for e in self.elements():
-                buckets[self.weight(e)].append(e)
-            self._buckets = buckets
+                w = weights[e] = self.weight(e)
+                buckets[w].append(e)
+            self._buckets, self._weights = buckets, weights
         return self._buckets
 
+    def weight_table(self) -> dict:
+        """Element -> weight for every element of the space (cached).
 
-_SPACE_CACHE = {}
+        Holds the raw `weight` value of each element, so a lookup gives
+        exactly what `weight` would return.
+        """
+        self.weight_buckets()
+        return self._weights
 
 
 def space_for(params: SchemeParams) -> SchemeSpace:
-    sp = _SPACE_CACHE.get(params)
-    if sp is None:
-        sp = SchemeSpace(params)
-        _SPACE_CACHE[params] = sp
-    return sp
+    """The cached coordinate model of a scheme's space."""
+    return _space_cached(params)
+
+
+# Bounded, since each space holds up to SPACE_GUARD elements twice over
+# (buckets and weight table).  A plain function wraps it so that callers
+# and tracers see an ordinary function.
+@functools.lru_cache(maxsize=16)
+def _space_cached(params: SchemeParams) -> SchemeSpace:
+    return SchemeSpace(params)
 
 
 @dataclass(frozen=True)
@@ -301,16 +323,18 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
     reps = [buckets[x][0]]
     if len(buckets[x]) > 1:
         reps.append(buckets[x][-1])
+    gf = space.gf
+    add, mul = gf.add_table, gf.mul_table
+    sign = [-1 if gf.abs_trace(a) else 1 for a in range(gf.order)]
     sums = []
     for y in reps:
         w = space.gram_vector(y)
-        gf = space.gf
         total = 0
         for e in buckets[k]:
             acc = 0
             for a, b in zip(e, w):
-                acc = gf.add(acc, gf.mul(a, b))
-            total += -1 if gf.abs_trace(acc) else 1
+                acc = add[acc][mul[a][b]]
+            total += sign[acc]
         sums.append(total)
     if len(set(sums)) != 1:
         raise AssertionError(
@@ -332,12 +356,13 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
     n = params.n
     violations = []
     buckets = space.weight_buckets()
+    weight = space.weight_table()
 
     for e in itertools.chain.from_iterable(buckets):
-        w = space.weight(e)
+        w = weight[e]
         if (w == 0) != (e == space.zero):
             violations.append(f"weight-0 class is not the diagonal at {e}")
-        if space.weight(space.sub(space.zero, e)) != w:
+        if weight[space.sub(space.zero, e)] != w:
             violations.append(f"weight is not symmetric at {e}")
         if not 0 <= w <= n:
             violations.append(f"weight {w} out of range at {e}")
@@ -358,7 +383,7 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
         for xx, yy in pairs:
             table = [[0] * (n + 1) for _ in range(n + 1)]
             for z in elements:
-                table[space.weight(space.sub(xx, z))][space.weight(space.sub(yy, z))] += 1
+                table[weight[space.sub(xx, z)]][weight[space.sub(yy, z)]] += 1
             tables.append(table)
         if any(t != tables[0] for t in tables[1:]):
             violations.append(f"intersection numbers not constant on relation {kk}")

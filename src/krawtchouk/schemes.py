@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balgebra import ConstPoly, mu_family
-from .bnary import as_int, bpow, gamma, gauss
+from .bnary import as_int, bpow, gamma, gauss, is_int
 from .eigenvalues import SchemeParams, c_value
 
 KINDS = ("hamming", "bilinear", "gabidulin", "skew", "hermitian")
@@ -32,7 +32,7 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if not isinstance(q, int) or q < 2:
+    if not is_int(q) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
 
     if kind == "hamming":
@@ -73,7 +73,7 @@ def _pos_int(dims: dict, key: str) -> int:
     if key not in dims:
         raise ValueError(f"missing dimension {key!r}")
     v = dims[key]
-    if not isinstance(v, int) or v < 1:
+    if not is_int(v) or v < 1:
         raise ValueError(f"dimension {key} must be a positive integer, got {v!r}")
     return v
 

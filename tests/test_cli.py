@@ -97,6 +97,23 @@ def test_invalid_weights_exit_2(capsys):
     assert code == 2
 
 
+def test_bool_inputs_exit_2(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "transform",
+        "--scheme-json", HAM3,
+        "--weights", "[true,0,0,1]",
+        "--code-size", "2",
+    )
+    assert code == 2
+    assert "invalid input" in err
+    code, _, err = run_cli(
+        capsys, "scheme", "info", "--scheme-json", '{"kind":"hamming","q":2,"n":true}'
+    )
+    assert code == 2
+    assert "invalid input" in err
+
+
 def test_moments_command(capsys):
     code, out, _ = run_cli(
         capsys,

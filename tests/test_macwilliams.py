@@ -41,6 +41,21 @@ def test_input_validation():
         TransformInput(dist=(1, 1, 1, 0), code_size=3, params=HAM23)  # 3 does not divide 8
 
 
+def test_input_rejects_non_integers():
+    with pytest.raises(ValueError):
+        TransformInput(dist=(1, 0, 0, 1.9), code_size=2, params=HAM23)
+    with pytest.raises(ValueError):
+        TransformInput(dist=(1, 0, 0, 1.0), code_size=2, params=HAM23)
+    with pytest.raises(ValueError):
+        TransformInput(dist=(1, 0, 0, Fraction(1)), code_size=2, params=HAM23)
+    with pytest.raises(ValueError):
+        TransformInput(dist=(True, 0, 0, 1), code_size=2, params=HAM23)
+    with pytest.raises(ValueError):
+        TransformInput(dist=(1, 0, 0, 0), code_size=True, params=HAM23)
+    with pytest.raises(ValueError):
+        TransformInput(dist=(1, 0, 0, 1), code_size=2.0, params=HAM23)
+
+
 def test_transform_trivial_pairs():
     for params in desk_schemes():
         if params.space_size > 1 << 16:

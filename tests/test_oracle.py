@@ -4,10 +4,13 @@ from collections import Counter
 
 import pytest
 
+from krawtchouk import oracle
 from krawtchouk.eigenvalues import c_poly
 from krawtchouk.macwilliams import TransformInput, transform_eigen, transform_functional
 from krawtchouk.oracle import (
+    SPACE_GUARD,
     CodeSpec,
+    SchemeSpace,
     char_eigenvalue,
     code_from_json,
     code_to_json,
@@ -20,6 +23,8 @@ from krawtchouk.oracle import (
     weight_distribution,
 )
 from krawtchouk.schemes import make_scheme, xi_vector
+
+from conftest import desk_schemes
 
 HAM23 = make_scheme("hamming", 2, n=3)
 HAM27 = make_scheme("hamming", 2, n=7)
@@ -170,6 +175,55 @@ def test_scheme_axioms():
         report = verify_scheme_axioms(params)
         assert report["ok"], report["violations"]
         assert report["valencies"] == xi_vector(params)
+
+
+def test_weight_table_matches_weight():
+    cases = desk_schemes() + [
+        make_scheme("hamming", 4, n=3),
+        make_scheme("gabidulin", 2, m=3, n=2),
+    ]
+    for params in cases:
+        sp = SchemeSpace(params)
+        if params.space_size > SPACE_GUARD:
+            with pytest.raises(ValueError):
+                sp.weight_table()
+            continue
+        table = sp.weight_table()
+        assert len(table) == params.space_size
+        assert all(table[e] == sp.weight(e) for e in sp.elements())
+        assert [len(b) for b in sp.weight_buckets()] == xi_vector(params)
+
+
+def _axioms_with_weight(monkeypatch, params, weight):
+    """verify_scheme_axioms on a fresh space whose weight function is replaced."""
+
+    class FaultySpace(SchemeSpace):
+        def weight(self, coords):
+            return weight(self.validate(coords))
+
+    monkeypatch.setattr(oracle, "space_for", lambda p: FaultySpace(p))
+    return verify_scheme_axioms(params)
+
+
+def test_scheme_axioms_report_asymmetric_weight(monkeypatch):
+    # counting only the coordinates equal to 1 gives weight(-e) != weight(e) at q = 3
+    report = _axioms_with_weight(
+        monkeypatch, make_scheme("hamming", 3, n=2), lambda e: e.count(1)
+    )
+    assert not report["ok"]
+    assert any("not symmetric" in v for v in report["violations"])
+
+
+def test_scheme_axioms_report_nonconstant_intersection_numbers(monkeypatch):
+    # symmetric (characteristic 2) and zero only at zero, but moving (1, 1, 0)
+    # into the weight-1 class makes the relations no association scheme
+    def weight(e):
+        return 1 if e == (1, 1, 0) else sum(e)
+
+    report = _axioms_with_weight(monkeypatch, make_scheme("hamming", 2, n=3), weight)
+    assert not report["ok"]
+    assert "intersection numbers not constant on relation 1" in report["violations"]
+    assert not any("symmetric" in v or "diagonal" in v for v in report["violations"])
 
 
 def test_random_code_reproducible():

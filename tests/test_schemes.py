@@ -57,6 +57,20 @@ def test_make_scheme_rejections():
     assert make_scheme("hamming", 6, n=2).space_size == 36
 
 
+def test_make_scheme_rejects_bools():
+    # bool is an int subclass; True must not pass for n = 1 or q = 1
+    with pytest.raises(ValueError):
+        make_scheme("hamming", 2, n=True)
+    with pytest.raises(ValueError):
+        make_scheme("hamming", True, n=3)
+    with pytest.raises(ValueError):
+        make_scheme("bilinear", 2, m=2, n=True)
+    with pytest.raises(ValueError):
+        make_scheme("skew", 2, t=True)
+    with pytest.raises(ValueError):
+        scheme_from_json({"kind": "hamming", "q": 2, "n": True})
+
+
 def test_xi_examples():
     assert xi_vector(make_scheme("hamming", 2, n=3)) == [1, 3, 3, 1]
     assert xi_vector(make_scheme("skew", 2, t=4)) == [1, 35, 28]
