@@ -242,9 +242,9 @@ def space_for(params: SchemeParams) -> SchemeSpace:
     return _space_cached(params)
 
 
-# Bounded, since each space holds up to SPACE_GUARD elements twice over
-# (buckets and weight table).  A plain function wraps it so that callers
-# and tracers see an ordinary function.
+# Bounded, since each enumerated space holds up to SPACE_GUARD elements in
+# its buckets and again in its weight table.  space_for stays a plain
+# function in front of it, which is what perfbench's tracer can wrap.
 @functools.lru_cache(maxsize=16)
 def _space_cached(params: SchemeParams) -> SchemeSpace:
     return SchemeSpace(params)

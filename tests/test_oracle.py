@@ -201,7 +201,7 @@ def _axioms_with_weight(monkeypatch, params, weight):
         def weight(self, coords):
             return weight(self.validate(coords))
 
-    monkeypatch.setattr(oracle, "space_for", lambda p: FaultySpace(p))
+    monkeypatch.setattr(oracle, "space_for", FaultySpace)
     return verify_scheme_axioms(params)
 
 
