@@ -233,6 +233,8 @@ def _suite_applicable(name, params):
 
 def cmd_verify(args):
     params = _parse_scheme(args.scheme_json)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     space_for(params)  # fail early on oracle-unsupported parameters
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
     except Violation as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     text = json.dumps(result, indent=2)

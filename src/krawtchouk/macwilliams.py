@@ -103,8 +103,8 @@ def moment_b(tin: TransformInput, phi: int) -> tuple:
     """
     params = tin.params
     n, b = params.n, params.b
-    if not 0 <= phi <= n:
-        raise ValueError(f"phi must lie in 0..{n}")
+    if not is_int(phi) or not 0 <= phi <= n:
+        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
     lhs = sum(
         (gauss(n - i, phi, b) * tin.dist[i] for i in range(n - phi + 1)),
@@ -126,8 +126,8 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
     """
     params = tin.params
     n, b, c = params.n, params.b, params.c
-    if not 0 <= phi <= n:
-        raise ValueError(f"phi must lie in 0..{n}")
+    if not is_int(phi) or not 0 <= phi <= n:
+        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
     lhs = sum(
         (
@@ -162,8 +162,10 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     no maximal code exists with them, or the inputs are inconsistent.
     """
     n, b = params.n, params.b
-    if not 1 <= d_s <= n + 1:
-        raise ValueError(f"d_s must lie in 1..{n + 1}")
+    if not is_int(d_s) or not 1 <= d_s <= n + 1:
+        raise ValueError(f"d_s must be an integer in 1..{n + 1}, got {d_s!r}")
+    if not is_int(code_size):
+        raise ValueError(f"code size must be an integer, got {code_size!r}")
     if code_size < 1 or params.space_size % code_size:
         raise ValueError("code size must divide the space size")
     dual_size = params.space_size // code_size

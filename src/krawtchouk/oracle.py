@@ -3,22 +3,15 @@
 Elements of every scheme are handled as coordinate vectors over the field
 the codes are linear over (F_q, or F_{q^m} for the vector rank space), with
 the structural shape (matrix, alternating matrix, conjugate-symmetric
-matrix) reconstructed on demand for weight computation.  Everything here is
-exhaustive; it exists to verify the algebraic side.  The one concession to
-speed is that each space, the first time it is enumerated, computes every
-element's weight once and keeps an element -> weight table beside the
-weight buckets; the axiom and character-sum loops read weights from that
-table instead of recomputing a matrix rank per lookup.
-
-Duality pairings per kind:
-  hamming     sum x_i y_i over F_q
-  bilinear    Trace(A B^T), i.e. the entrywise dot product
-  gabidulin   sum x_i y_i over F_{q^m}
-  skew        sum over i<j of A_ij B_ij (equals Trace(A B^T)/2 away from
-              characteristic 2, where the full trace form vanishes on
-              alternating matrices and this is the nondegenerate form)
-  hermitian   Trace(A B), which lands in F_q for conjugate-symmetric inputs
-A Gram-matrix nondegeneracy assertion guards each choice.
+matrix) reconstructed on demand for weight computation.  The per-kind facts
+of that model live in one table, _MODELS, kept apart from schemes.FAMILIES
+so that the oracle shares no per-kind code with the algebra it checks.
+Everything here is exhaustive; it exists to verify the algebraic side.
+The one concession to speed is that each space, the first time it is
+enumerated, computes every element's weight once and keeps an element ->
+weight table beside the weight buckets; the axiom and character-sum loops
+read weights from that table instead of recomputing a matrix rank per
+lookup.
 """
 from __future__ import annotations
 
@@ -34,49 +27,118 @@ ENUM_GUARD = 1 << 20
 SPACE_GUARD = 1 << 12
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(t: int) -> list:
+    """The positions (i, j), i < j, of a t x t matrix, in coordinate order."""
+    return [(i, j) for i in range(t) for j in range(i + 1, t)]
+
+
+def _vector(space, coords):
+    return list(coords)
+
+
+def _rows(space, coords):
+    m, n = space.params.dims
+    return [list(coords[i * n : (i + 1) * n]) for i in range(m)]
+
+
+def _digit_columns(space, coords):
+    # expand each F_{q^m} entry into its base-q digit column
+    m, n = space.params.dims
+    q = space.rank_field.order
+    cols = []
+    for v in coords:
+        digits = []
+        for _ in range(m):
+            digits.append(v % q)
+            v //= q
+        cols.append(digits)
+    return [[cols[j][i] for j in range(n)] for i in range(m)]
+
+
+def _alternating(space, coords):
+    (t,) = space.params.dims
+    gf = space.gf
+    mat = [[0] * t for _ in range(t)]
+    for (i, j), v in zip(_upper_pairs(t), coords):
+        mat[i][j] = v
+        mat[j][i] = gf.neg(v)
+    return mat
+
+
+def _conj_symmetric(space, coords):
+    # diagonal in F_q, upper entries are digit pairs in F_{q^2}
+    (t,) = space.params.dims
+    q, ext = space.gf.order, space.rank_field
+    mat = [[0] * t for _ in range(t)]
+    for i in range(t):
+        mat[i][i] = coords[i]
+    for idx, (i, j) in enumerate(_upper_pairs(t)):
+        s, u = coords[t + 2 * idx], coords[t + 2 * idx + 1]
+        mat[i][j] = s + u * q
+        mat[j][i] = ext.conj(mat[i][j], q)
+    return mat
+
+
+def _dot(space, u, v):
+    gf = space.gf
+    total = 0
+    for a, b in zip(u, v):
+        total = gf.add(total, gf.mul(a, b))
+    return total
+
+
+def _trace_form(space, u, v):
+    a, bmat = space.matrix(u), space.matrix(v)
+    ext = space.rank_field
+    total = 0
+    for i in range(len(a)):
+        for j in range(len(a)):
+            total = ext.add(total, ext.mul(a[i][j], bmat[j][i]))
+    if total >= space.gf.order:
+        raise ArithmeticError("hermitian trace form left the base field")
+    return total
+
+
+# kind -> (rule (q, *dims) -> (coordinate field order, rank field order or
+# None for the Hamming count, coordinate count), element -> matrix builder,
+# rank divisor, pairing).  The weight is the rank of the built matrix over
+# the rank field, divided by the divisor.  Duality pairings per kind:
+#   hamming     sum x_i y_i over F_q
+#   bilinear    Trace(A B^T), i.e. the entrywise dot product
+#   gabidulin   sum x_i y_i over F_{q^m}
+#   skew        sum over i<j of A_ij B_ij (equals Trace(A B^T)/2 away from
+#               characteristic 2, where the full trace form vanishes on
+#               alternating matrices and this is the nondegenerate form)
+#   hermitian   Trace(A B), which lands in F_q for conjugate-symmetric inputs
+# A Gram-matrix nondegeneracy assertion guards each choice.
+_MODELS = {
+    "hamming": (lambda q, n: (q, None, n), _vector, 1, _dot),
+    "bilinear": (lambda q, m, n: (q, q, m * n), _rows, 1, _dot),
+    "gabidulin": (lambda q, m, n: (q ** m, q, n), _digit_columns, 1, _dot),
+    "skew": (lambda q, t: (q, q, t * (t - 1) // 2), _alternating, 2, _dot),
+    "hermitian": (lambda q, t: (q, q * q, t * t), _conj_symmetric, 1, _trace_form),
+}
+
+
 class SchemeSpace:
     """Coordinate model of one scheme's ambient space."""
 
     def __init__(self, params: SchemeParams):
         if not is_prime_power(params.q):
             raise ValueError(f"oracle requires q to be a prime power, got {params.q}")
-        self.params = params
         kind, q = params.kind, params.q
-
-        if kind == "hamming":
-            (n,) = params.dims
-            self.gf = field(q)
-            self.dim = n
-        elif kind == "bilinear":
-            m, n = params.dims
-            self.gf = field(q)
-            self.dim = m * n
-            self._shape = (m, n)
-        elif kind == "gabidulin":
-            m, n = params.dims
-            if field(q).k != 1:
-                raise ValueError("gabidulin oracle supports prime q only")
-            self.gf = field(q ** m)
-            self.base = field(q)
-            self.dim = n
-            self._shape = (m, n)
-        elif kind == "skew":
-            (t,) = params.dims
-            self.gf = field(q)
-            self.t = t
-            self._pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-            self.dim = len(self._pairs)
-        elif kind == "hermitian":
-            (t,) = params.dims
-            if field(q).k != 1:
-                raise ValueError("hermitian oracle supports prime q only")
-            self.gf = field(q)
-            self.ext = field(q * q)
-            self.t = t
-            self._pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-            self.dim = t + 2 * len(self._pairs)
-        else:
+        if kind not in _MODELS:
             raise ValueError(f"unknown kind {kind!r}")
+        self.params = params
+        shape, self._builder, self._divisor, self._pairing = _MODELS[kind]
+        order, rank_order, self.dim = shape(q, *params.dims)
+        # F_{q^k} elements are read as base-q digit strings, which is the
+        # field's own encoding only for prime q
+        if {order, rank_order} - {q, None} and field(q).k != 1:
+            raise ValueError(f"{kind} oracle supports prime q only")
+        self.gf = field(order)
+        self.rank_field = field(rank_order) if rank_order else None
 
         assert self.gf.order ** self.dim == params.space_size
         self.zero = (0,) * self.dim
@@ -118,80 +180,23 @@ class SchemeSpace:
 
     def matrix(self, coords):
         """The element in its natural matrix/vector shape."""
-        kind = self.params.kind
-        if kind == "hamming":
-            return list(coords)
-        if kind == "bilinear":
-            m, n = self._shape
-            return [list(coords[i * n : (i + 1) * n]) for i in range(m)]
-        if kind == "gabidulin":
-            # expand each F_{q^m} entry into its base-q digit column
-            m, n = self._shape
-            q = self.base.order
-            cols = []
-            for v in coords:
-                digits = []
-                for _ in range(m):
-                    digits.append(v % q)
-                    v //= q
-                cols.append(digits)
-            return [[cols[j][i] for j in range(n)] for i in range(m)]
-        if kind == "skew":
-            t, gf = self.t, self.gf
-            mat = [[0] * t for _ in range(t)]
-            for (i, j), v in zip(self._pairs, coords):
-                mat[i][j] = v
-                mat[j][i] = gf.neg(v)
-            return mat
-        # hermitian: diagonal in F_q, upper entries are digit pairs in F_{q^2}
-        t, q, ext = self.t, self.gf.order, self.ext
-        mat = [[0] * t for _ in range(t)]
-        for i in range(t):
-            mat[i][i] = coords[i]
-        for idx, (i, j) in enumerate(self._pairs):
-            s, u = coords[t + 2 * idx], coords[t + 2 * idx + 1]
-            mat[i][j] = s + u * q
-            mat[j][i] = ext.conj(mat[i][j], q)
-        return mat
+        return self._builder(self, coords)
 
     def weight(self, coords) -> int:
         """Scheme weight: Hamming count or the appropriate matrix rank."""
         coords = self.validate(coords)
-        kind = self.params.kind
-        if kind == "hamming":
+        if self.rank_field is None:
             return sum(1 for v in coords if v)
-        mat = self.matrix(coords)
-        if kind == "bilinear":
-            return matrix_rank(mat, self.gf)
-        if kind == "gabidulin":
-            return matrix_rank(mat, self.base)
-        if kind == "skew":
-            rank = matrix_rank(mat, self.gf)
-            if rank % 2:
-                raise ArithmeticError("alternating matrix with odd rank")
-            return rank // 2
-        return matrix_rank(mat, self.ext)
+        rank = matrix_rank(self.matrix(coords), self.rank_field)
+        if rank % self._divisor:
+            raise ArithmeticError(f"matrix rank {rank} is not a multiple of {self._divisor}")
+        return rank // self._divisor
 
     # -- duality ------------------------------------------------------------
 
     def pairing(self, u, v) -> int:
         """Scheme bilinear form; an element of the coordinate field."""
-        kind, gf = self.params.kind, self.gf
-        if kind == "hermitian":
-            a = self.matrix(u)
-            bmat = self.matrix(v)
-            ext, t = self.ext, self.t
-            total = 0
-            for i in range(t):
-                for j in range(t):
-                    total = ext.add(total, ext.mul(a[i][j], bmat[j][i]))
-            if total >= gf.order:
-                raise ArithmeticError("hermitian trace form left the base field")
-            return total
-        total = 0
-        for a, b in zip(u, v):
-            total = gf.add(total, gf.mul(a, b))
-        return total
+        return self._pairing(self, u, v)
 
     def _gram_matrix(self):
         units = []
@@ -216,14 +221,17 @@ class SchemeSpace:
         """All elements of the space grouped by weight (cached).
 
         The first call computes each element's weight once, through
-        `weight`, and fills the weight table alongside the buckets.
+        `weight`, and fills the weight table alongside the buckets.  An
+        element whose weight lies outside 0..n is in the table only.
         """
         if self._buckets is None:
-            buckets = [[] for _ in range(self.params.n + 1)]
+            n = self.params.n
+            buckets = [[] for _ in range(n + 1)]
             weights = {}
             for e in self.elements():
                 w = weights[e] = self.weight(e)
-                buckets[w].append(e)
+                if 0 <= w <= n:
+                    buckets[w].append(e)
             self._buckets, self._weights = buckets, weights
         return self._buckets
 
@@ -358,8 +366,7 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
     buckets = space.weight_buckets()
     weight = space.weight_table()
 
-    for e in itertools.chain.from_iterable(buckets):
-        w = weight[e]
+    for e, w in weight.items():
         if (w == 0) != (e == space.zero):
             violations.append(f"weight-0 class is not the diagonal at {e}")
         if weight[space.sub(space.zero, e)] != w:
@@ -367,10 +374,12 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
         if not 0 <= w <= n:
             violations.append(f"weight {w} out of range at {e}")
 
+    # intersection numbers are indexed by weight, so they need every weight in range
+    in_range = all(0 <= w <= n for w in weight.values())
+    relations = range(n + 1) if in_range else range(0)
     rng = random.Random(seed)
     elements = [e for bucket in buckets for e in bucket]
-    intersection_tables = []
-    for kk in range(n + 1):
+    for kk in relations:
         if not buckets[kk]:
             violations.append(f"empty relation at distance {kk}")
             continue
@@ -387,7 +396,6 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
             tables.append(table)
         if any(t != tables[0] for t in tables[1:]):
             violations.append(f"intersection numbers not constant on relation {kk}")
-        intersection_tables.append(tables[0])
         for i in range(n + 1):
             if sum(tables[0][i]) != len(buckets[i]):
                 violations.append(
@@ -397,7 +405,7 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
     return {
         "kind": params.kind,
         "valencies": [len(b) for b in buckets],
-        "checked_relations": n + 1,
+        "checked_relations": len(relations),
         "violations": violations,
         "ok": not violations,
     }

@@ -1,15 +1,7 @@
-"""Catalog of the four concrete Krawtchouk association scheme families.
+"""Catalog of the five concrete Krawtchouk association scheme families.
 
-The parameter table:
-
-    kind        b     c                      classes n      |X|
-    hamming     1     q                      n              q^n
-    bilinear    q     q^(m-n), m >= n        n              q^(mn)
-    gabidulin   q     q^(m-n), m >= n        n              q^(mn)
-    skew        q^2   q (t odd), 1/q (even)  floor(t/2)     q^(t(t-1)/2)
-    hermitian   -q    -1                     t              q^(t^2)
-
-In every case |X| = (c b^n)^n exactly, which is asserted at construction.
+Each family is one record of FAMILIES, which make_scheme and the JSON form
+read; no code here branches on the kind.
 """
 from __future__ import annotations
 
@@ -19,7 +11,47 @@ from .balgebra import ConstPoly, mu_family
 from .bnary import as_int, bpow, gamma, gauss, is_int
 from .eigenvalues import SchemeParams, c_value
 
-KINDS = ("hamming", "bilinear", "gabidulin", "skew", "hermitian")
+
+def _hamming(q, n):
+    return Fraction(1), Fraction(q), n, q ** n
+
+
+def _rank_metric(q, m, n):
+    if m < n:
+        raise ValueError(f"bilinear and gabidulin schemes require m >= n, got m={m}, n={n}")
+    return Fraction(q), Fraction(q) ** (m - n), n, q ** (m * n)
+
+
+def _skew(q, t):
+    if t < 2:
+        raise ValueError("skew scheme needs t >= 2")
+    c = Fraction(q) if t % 2 else Fraction(1, q)
+    return Fraction(q) ** 2, c, t // 2, q ** (t * (t - 1) // 2)
+
+
+def _hermitian(q, t):
+    return Fraction(-q), Fraction(-1), t, q ** (t * t)
+
+
+# kind -> (dimension keys in dims order, rule (q, *dims) -> (b, c, n, |X|)).
+# The rules implement this parameter table:
+#
+#     kind        b     c                      classes n      |X|
+#     hamming     1     q                      n              q^n
+#     bilinear    q     q^(m-n), m >= n        n              q^(mn)
+#     gabidulin   q     q^(m-n), m >= n        n              q^(mn)
+#     skew        q^2   q (t odd), 1/q (even)  floor(t/2)     q^(t(t-1)/2)
+#     hermitian   -q    -1                     t              q^(t^2)
+#
+# In every case |X| = (c b^n)^n exactly, which make_scheme asserts.
+FAMILIES = {
+    "hamming": (("n",), _hamming),
+    "bilinear": (("m", "n"), _rank_metric),
+    "gabidulin": (("m", "n"), _rank_metric),
+    "skew": (("t",), _skew),
+    "hermitian": (("t",), _hermitian),
+}
+KINDS = tuple(FAMILIES)
 
 
 def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
@@ -27,55 +59,28 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
 
     q must be an integer >= 2; primality of q as a prime power matters only
     to the brute-force oracle, which validates it separately when building
-    the underlying field.
+    the underlying field.  The dimension keywords must be exactly the
+    family's keys, each a positive integer.
     """
     kind = kind.lower()
-    if kind not in KINDS:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown scheme kind {kind!r}")
     if not is_int(q) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-
-    if kind == "hamming":
-        n = _pos_int(dims, "n")
-        b, c = Fraction(1), Fraction(q)
-        raw = (n,)
-        size = q ** n
-    elif kind in ("bilinear", "gabidulin"):
-        m = _pos_int(dims, "m")
-        n = _pos_int(dims, "n")
-        if m < n:
-            raise ValueError(f"{kind} requires m >= n, got m={m}, n={n}")
-        b, c = Fraction(q), Fraction(q) ** (m - n)
-        raw = (m, n)
-        size = q ** (m * n)
-    elif kind == "skew":
-        t = _pos_int(dims, "t")
-        n = t // 2
-        if n < 1:
-            raise ValueError("skew scheme needs t >= 2")
-        b = Fraction(q) ** 2
-        c = Fraction(q) if t % 2 else Fraction(1, q)
-        raw = (t,)
-        size = q ** (t * (t - 1) // 2)
-    else:  # hermitian
-        t = _pos_int(dims, "t")
-        n = t
-        b, c = Fraction(-q), Fraction(-1)
-        raw = (t,)
-        size = q ** (t * t)
-
+    keys, rule = FAMILIES[kind]
+    missing, extra = set(keys) - set(dims), set(dims) - set(keys)
+    if missing or extra:
+        raise ValueError(
+            f"{kind} scheme: missing dimensions {sorted(missing)}, unexpected {sorted(extra)}"
+        )
+    raw = tuple(dims[key] for key in keys)
+    for key, v in zip(keys, raw):
+        if not is_int(v) or v < 1:
+            raise ValueError(f"dimension {key} must be a positive integer, got {v!r}")
+    b, c, n, size = rule(q, *raw)
     params = SchemeParams(kind=kind, q=q, dims=raw, b=b, c=c, n=n, space_size=size)
     assert params.cbn() ** n == size, "space size must equal (c b^n)^n"
     return params
-
-
-def _pos_int(dims: dict, key: str) -> int:
-    if key not in dims:
-        raise ValueError(f"missing dimension {key!r}")
-    v = dims[key]
-    if not is_int(v) or v < 1:
-        raise ValueError(f"dimension {key} must be a positive integer, got {v!r}")
-    return v
 
 
 def xi(params: SchemeParams, omega: int) -> int:
@@ -117,36 +122,15 @@ def omega_enumerator(params: SchemeParams) -> ConstPoly:
 
 def scheme_to_json(params: SchemeParams) -> dict:
     """JSON form {"kind": ..., "q": ..., dims...} accepted back by scheme_from_json."""
-    obj = {"kind": params.kind, "q": params.q}
-    if params.kind == "hamming":
-        obj["n"] = params.dims[0]
-    elif params.kind in ("bilinear", "gabidulin"):
-        obj["m"], obj["n"] = params.dims
-    else:
-        obj["t"] = params.dims[0]
-    return obj
+    keys, _ = FAMILIES[params.kind]
+    return {"kind": params.kind, "q": params.q, **dict(zip(keys, params.dims))}
 
 
 def scheme_from_json(obj: dict) -> SchemeParams:
     if not isinstance(obj, dict) or "kind" not in obj or "q" not in obj:
         raise ValueError("scheme spec needs 'kind' and 'q'")
-    kind = str(obj["kind"]).lower()
-    if kind not in KINDS:
-        raise ValueError(f"unknown scheme kind {obj['kind']!r}")
-    q = obj["q"]
-    if kind == "hamming":
-        keys = {"n"}
-    elif kind in ("bilinear", "gabidulin"):
-        keys = {"m", "n"}
-    else:
-        keys = {"t"}
-    extra = set(obj) - keys - {"kind", "q"}
-    missing = keys - set(obj)
-    if extra or missing:
-        raise ValueError(
-            f"scheme spec for {kind}: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    return make_scheme(kind, q, **{k: obj[k] for k in keys})
+    dims = {k: v for k, v in obj.items() if k not in ("kind", "q")}
+    return make_scheme(str(obj["kind"]), obj["q"], **dims)
 
 
 def hermitian_recurrence_equiv(q: int, t_max: int) -> list:

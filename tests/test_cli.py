@@ -1,10 +1,13 @@
 """CLI surface: JSON output shapes, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import krawtchouk
+from krawtchouk import cli
 from krawtchouk.cli import main
 
 HAM3 = '{"kind":"hamming","q":2,"n":3}'
@@ -202,6 +205,30 @@ def test_verify_explicit_inapplicable_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--scheme-json", '{"kind":"hamming","q":2,"n":2}',
+        "--suite", "transform",
+        "--trials", trials,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
+def test_internal_errors_are_not_invalid_input(monkeypatch):
+    # only ValueError means invalid input; an internal TypeError must surface
+    def broken(args):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "cmd_scheme_info", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["scheme", "info", "--scheme-json", HAM3])
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -219,10 +246,14 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(krawtchouk.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "krawtchouk.cli", "scheme", "info", "--scheme-json", HAM3],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spaceSize"] == 8

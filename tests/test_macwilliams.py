@@ -54,6 +54,15 @@ def test_input_rejects_non_integers():
         TransformInput(dist=(1, 0, 0, 0), code_size=True, params=HAM23)
     with pytest.raises(ValueError):
         TransformInput(dist=(1, 0, 0, 1), code_size=2.0, params=HAM23)
+    # bools and floats are rejected as inputs, not reported as "no maximal code"
+    with pytest.raises(ValueError, match="d_s must be an integer"):
+        maximal_distribution(HAM23, True, 2)
+    with pytest.raises(ValueError, match="code size must be an integer"):
+        maximal_distribution(HAM23, 2, 2.0)
+    tin = _tin(HAM23, (1, 0, 0, 1))
+    for fn in (moment_b, moment_binv):
+        with pytest.raises(ValueError):
+            fn(tin, True)
 
 
 def test_transform_trivial_pairs():

@@ -22,7 +22,7 @@ from krawtchouk.oracle import (
     verify_scheme_axioms,
     weight_distribution,
 )
-from krawtchouk.schemes import make_scheme, xi_vector
+from krawtchouk.schemes import KINDS, make_scheme, xi_vector
 
 from conftest import desk_schemes
 
@@ -56,7 +56,7 @@ def test_weight_examples():
     # alternating 4x4 with only the (1,2)/(2,1) pair set: rank 2, skew weight 1
     sp = space_for(SKEW24)
     coords = [0] * sp.dim
-    coords[sp._pairs.index((1, 2))] = 1
+    coords[oracle._upper_pairs(4).index((1, 2))] = 1
     assert sp.weight(tuple(coords)) == 1
     mat = sp.matrix(tuple(coords))
     assert mat[1][2] == 1 and mat[2][1] == 1 and all(mat[i][i] == 0 for i in range(4))
@@ -72,7 +72,7 @@ def test_weight_rejects_invalid():
 def test_hermitian_structure():
     sp = space_for(make_scheme("hermitian", 2, t=3))
     rng = random.Random(0)
-    ext = sp.ext
+    ext = sp.rank_field
     for _ in range(20):
         coords = tuple(rng.randrange(2) for _ in range(sp.dim))
         mat = sp.matrix(coords)
@@ -214,6 +214,18 @@ def test_scheme_axioms_report_asymmetric_weight(monkeypatch):
     assert any("not symmetric" in v for v in report["violations"])
 
 
+@pytest.mark.parametrize("bad", [4, -1])
+def test_scheme_axioms_report_out_of_range_weight(monkeypatch, bad):
+    def weight(e):
+        return bad if e == (1, 1, 1) else sum(e)
+
+    report = _axioms_with_weight(monkeypatch, make_scheme("hamming", 2, n=3), weight)
+    assert not report["ok"]
+    assert report["violations"] == [f"weight {bad} out of range at (1, 1, 1)"]
+    assert report["checked_relations"] == 0
+    assert report["valencies"] == [1, 3, 3, 0]
+
+
 def test_scheme_axioms_report_nonconstant_intersection_numbers(monkeypatch):
     # symmetric (characteristic 2) and zero only at zero, but moving (1, 1, 0)
     # into the weight-1 class makes the relations no association scheme
@@ -256,3 +268,14 @@ def test_code_json_round_trip():
 def test_oracle_rejects_non_prime_power_q():
     with pytest.raises(ValueError):
         space_for(make_scheme("hamming", 6, n=2))
+    # digit expansions between F_q and its extensions need prime q
+    with pytest.raises(ValueError):
+        space_for(make_scheme("gabidulin", 4, m=2, n=2))
+    with pytest.raises(ValueError):
+        space_for(make_scheme("hermitian", 4, t=2))
+    # at m = 1 the coordinates are F_4 itself, so no expansion is needed
+    assert verify_scheme_axioms(make_scheme("gabidulin", 4, m=1, n=1))["ok"]
+
+
+def test_model_table_covers_every_kind():
+    assert tuple(oracle._MODELS) == KINDS

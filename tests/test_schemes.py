@@ -5,6 +5,8 @@ import pytest
 
 from krawtchouk.eigenvalues import c_poly
 from krawtchouk.schemes import (
+    FAMILIES,
+    KINDS,
     hermitian_recurrence_equiv,
     make_scheme,
     omega_enumerator,
@@ -35,6 +37,10 @@ def test_make_scheme_table_rows():
     assert (bi.b, bi.c, bi.n, bi.space_size) == (3, 3, 2, 729)
 
 
+def test_family_table_covers_every_kind():
+    assert tuple(FAMILIES) == KINDS == ("hamming", "bilinear", "gabidulin", "skew", "hermitian")
+
+
 def test_space_size_is_cbn_power():
     for params in desk_schemes():
         assert params.cbn() ** params.n == params.space_size
@@ -53,6 +59,8 @@ def test_make_scheme_rejections():
         make_scheme("skew", 2, t=1)
     with pytest.raises(ValueError):
         make_scheme("cyclic", 2, n=3)
+    with pytest.raises(ValueError):
+        make_scheme("hamming", 2, n=3, t=9)
     # the algebraic core accepts non-prime-power q
     assert make_scheme("hamming", 6, n=2).space_size == 36
 
