@@ -20,6 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .bnary import is_int
 from .eigenvalues import SchemeParams
 from .fields import GF, field, is_prime_power, matrix_rank, nullspace, row_reduce
 
@@ -153,9 +154,11 @@ class SchemeSpace:
     # -- structure ----------------------------------------------------------
 
     def validate(self, coords) -> tuple:
-        coords = tuple(int(v) for v in coords)
+        coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"element needs {self.dim} coordinates")
+        if not all(is_int(v) for v in coords):
+            raise ValueError(f"coordinates must be ints, got {coords}")
         if any(not 0 <= v < self.gf.order for v in coords):
             raise ValueError("coordinate out of field range")
         return coords
@@ -307,23 +310,25 @@ def dual_code(code: CodeSpec) -> CodeSpec:
 
 def weight_distribution(code: CodeSpec) -> list:
     space = space_for(code.params)
-    counts = [0] * (code.params.n + 1)
+    n = code.params.n
+    counts = [0] * (n + 1)
     for word in enumerate_code(code):
-        counts[space.weight(word)] += 1
+        w = space.weight(word)
+        if not 0 <= w <= n:
+            raise ArithmeticError(f"weight {w} out of range at {word}")
+        counts[w] += 1
     return counts
 
 
 def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
-    """First-principles eigenvalue: a signed count over weight-k elements.
+    """First-principles eigenvalue: an additive character sum over weight k.
 
-    Sums the additive character (-1)^trace(<e, y>) over all elements e of
-    weight k, for a representative y of weight x.  Characteristic 2 only,
-    keeping the arithmetic exact.  Independence of the representative is
-    asserted against a second choice.
+    Counts N_a, the elements e of weight k whose pairing with a representative
+    y of weight x has absolute trace a in F_p.  Sum zeta^a N_a is an integer
+    exactly when all N_a with a != 0 are equal, and is then N_0 - N_1; that
+    condition, and independence of a second representative, are asserted.
     """
     space = space_for(params)
-    if space.gf.p != 2:
-        raise ValueError("character sums are supported in characteristic 2 only")
     n = params.n
     if not (0 <= k <= n and 0 <= x <= n):
         raise ValueError(f"require 0 <= k, x <= {n}")
@@ -333,17 +338,19 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
         reps.append(buckets[x][-1])
     gf = space.gf
     add, mul = gf.add_table, gf.mul_table
-    sign = [-1 if gf.abs_trace(a) else 1 for a in range(gf.order)]
+    trace = [gf.abs_trace(a) for a in range(gf.order)]
     sums = []
     for y in reps:
         w = space.gram_vector(y)
-        total = 0
+        counts = [0] * gf.p
         for e in buckets[k]:
             acc = 0
             for a, b in zip(e, w):
                 acc = add[acc][mul[a][b]]
-            total += sign[acc]
-        sums.append(total)
+            counts[trace[acc]] += 1
+        if len(set(counts[1:])) != 1:
+            raise AssertionError(f"unequal trace counts {counts} at (k={k}, x={x})")
+        sums.append(counts[0] - counts[1])
     if len(set(sums)) != 1:
         raise AssertionError(
             f"character sum depends on the representative at (k={k}, x={x})"

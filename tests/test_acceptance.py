@@ -40,6 +40,7 @@ from krawtchouk.macwilliams import (
     transform_functional,
 )
 from krawtchouk.oracle import (
+    SPACE_GUARD,
     CodeSpec,
     char_eigenvalue,
     dual_code,
@@ -49,7 +50,7 @@ from krawtchouk.oracle import (
 )
 from krawtchouk.schemes import hermitian_recurrence_equiv, make_scheme, xi_vector
 
-from conftest import BASES, polys_equal, rand_const_poly
+from conftest import BASES, desk_schemes, polys_equal, rand_const_poly
 
 
 def _report(number, text):
@@ -169,8 +170,12 @@ def test_criterion_04_structural_eigenmatrix_checks():
 
 
 def test_criterion_05_first_principles_eigenvalues():
+    # every characteristic: the desk spaces within the guard, plus q = 5 and
+    # q = 9 (a proper extension of F_3, so the absolute trace is not the identity)
+    odd = [make_scheme("hamming", 5, n=3), make_scheme("hamming", 9, n=3)]
+    desk = [p for p in desk_schemes() if p.space_size <= SPACE_GUARD]
     pairs = 0
-    for params in CHAR2_PARAMS:
+    for params in dict.fromkeys(CHAR2_PARAMS + desk + odd):
         for k in range(params.n + 1):
             for x in range(params.n + 1):
                 assert char_eigenvalue(params, k, x) == c_poly(k, x, params)

@@ -181,28 +181,43 @@ def test_verify_eigen_suite(capsys):
     assert json.loads(out)["results"]["eigen"]["ok"] is True
 
 
-def test_verify_skips_inapplicable_in_all(capsys):
+def test_verify_eigen_suite_odd_characteristic(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "verify",
-        "--scheme-json", '{"kind":"hamming","q":3,"n":3}',
-        "--suite", "all",
-        "--trials", "3",
-        "--seed", "2",
-    )
-    assert code == 0
-    obj = json.loads(out)
-    assert "skipped" in obj["results"]["eigen"]
-
-
-def test_verify_explicit_inapplicable_exits_2(capsys):
-    code, _, _ = run_cli(
         capsys,
         "verify",
         "--scheme-json", '{"kind":"hamming","q":3,"n":3}',
         "--suite", "eigen",
     )
-    assert code == 2
+    assert code == 0
+    assert json.loads(out)["results"]["eigen"]["ok"] is True
+
+
+# 2^13 = 8192 points, over the 4096-point enumeration guard
+HAM2_13 = '{"kind":"hamming","q":2,"n":13}'
+
+
+def test_verify_skips_inapplicable_in_all(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--scheme-json", HAM2_13,
+        "--suite", "all",
+        "--trials", "3",
+        "--seed", "2",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    for name in ("axioms", "eigen"):
+        assert results[name] == {"ok": True, "skipped": "space size 8192 exceeds the 4096 guard"}
+    assert not any("skipped" in results[name] for name in ("recurrence", "transform", "moments"))
+
+
+def test_verify_explicit_inapplicable_exits_2(capsys):
+    for suite in ("axioms", "eigen"):
+        code, out, err = run_cli(capsys, "verify", "--scheme-json", HAM2_13, "--suite", suite)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the 4096 guard" in err
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])

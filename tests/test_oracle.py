@@ -69,6 +69,21 @@ def test_weight_rejects_invalid():
         space_for(HAM23).weight((0, 0, 5))
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [(1.7, 0, True), (1.0, 0, 0), ("1", 0, 0), (True, 0, 0)],
+    ids=["mixed", "float", "str", "bool"],
+)
+def test_coordinates_must_be_ints(coords):
+    # floats, strings and bools are rejected, not coerced with int()
+    with pytest.raises(ValueError, match="must be ints"):
+        space_for(HAM23).validate(coords)
+    with pytest.raises(ValueError, match="must be ints"):
+        space_for(HAM23).weight(coords)
+    with pytest.raises(ValueError, match="must be ints"):
+        code_from_json({"scheme": {"kind": "hamming", "q": 2, "n": 3}, "generators": [coords]})
+
+
 def test_hermitian_structure():
     sp = space_for(make_scheme("hermitian", 2, t=3))
     rng = random.Random(0)
@@ -158,8 +173,21 @@ def test_char_eigenvalue_examples():
     assert char_eigenvalue(SKEW24, 1, 1) == 3  # q^3 - q^2 - 1 at q = 2
 
 
-def test_char_eigenvalue_rejects_odd_characteristic():
-    with pytest.raises(ValueError):
+def test_char_eigenvalue_odd_characteristic_matches_c_poly():
+    ham32 = make_scheme("hamming", 3, n=2)
+    assert [char_eigenvalue(ham32, k, 1) for k in range(3)] == [1, 1, -2]
+    for params in (ham32, make_scheme("skew", 3, t=3)):
+        for k in range(params.n + 1):
+            for x in range(params.n + 1):
+                assert char_eigenvalue(params, k, x) == c_poly(k, x, params)
+
+
+def test_char_eigenvalue_rejects_unequal_trace_counts(monkeypatch):
+    # moving (1, 0) into the weight-2 class breaks invariance under negation at
+    # q = 3: over the weight-1 class the traces of the pairing with (2, 0) are
+    # 0, 0 and 1, so the character sum is no integer
+    _patch_weight(monkeypatch, lambda e: 2 if e == (1, 0) else 2 - e.count(0))
+    with pytest.raises(AssertionError, match=r"unequal trace counts \[2, 1, 0\]"):
         char_eigenvalue(make_scheme("hamming", 3, n=2), 1, 1)
 
 
@@ -194,14 +222,19 @@ def test_weight_table_matches_weight():
         assert [len(b) for b in sp.weight_buckets()] == xi_vector(params)
 
 
-def _axioms_with_weight(monkeypatch, params, weight):
-    """verify_scheme_axioms on a fresh space whose weight function is replaced."""
+def _patch_weight(monkeypatch, weight):
+    """Make oracle.space_for build fresh spaces whose weight function is replaced."""
 
     class FaultySpace(SchemeSpace):
         def weight(self, coords):
             return weight(self.validate(coords))
 
     monkeypatch.setattr(oracle, "space_for", FaultySpace)
+
+
+def _axioms_with_weight(monkeypatch, params, weight):
+    """verify_scheme_axioms on a fresh space whose weight function is replaced."""
+    _patch_weight(monkeypatch, weight)
     return verify_scheme_axioms(params)
 
 
@@ -224,6 +257,14 @@ def test_scheme_axioms_report_out_of_range_weight(monkeypatch, bad):
     assert report["violations"] == [f"weight {bad} out of range at (1, 1, 1)"]
     assert report["checked_relations"] == 0
     assert report["valencies"] == [1, 3, 3, 0]
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_weight_distribution_rejects_out_of_range_weight(monkeypatch, bad):
+    _patch_weight(monkeypatch, lambda e: bad if e == (1, 1, 1) else sum(e))
+    repetition = CodeSpec(params=HAM23, generators=((1, 1, 1),))
+    with pytest.raises(ArithmeticError, match=rf"weight {bad} out of range at \(1, 1, 1\)"):
+        weight_distribution(repetition)
 
 
 def test_scheme_axioms_report_nonconstant_intersection_numbers(monkeypatch):
