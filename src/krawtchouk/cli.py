@@ -38,6 +38,11 @@ from .schemes import scheme_from_json, scheme_to_json, xi_vector
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
+# Size budget for every command: the eigenmatrix alone is (n+1)^2 integers
+# of up to about log2|X| bits, so larger schemes fail fast with exit 2.
+MAX_CLASSES = 64
+MAX_SPACE_BITS = 16384  # |X| <= 2^MAX_SPACE_BITS
+
 
 class Violation(Exception):
     """A verified identity failed or a distribution is unrealizable."""
@@ -59,7 +64,12 @@ def _parse_scheme(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--scheme-json is not valid JSON: {exc}") from None
-    return scheme_from_json(obj)
+    params = scheme_from_json(obj)
+    if params.n > MAX_CLASSES:
+        raise ValueError(f"class count {params.n} exceeds the supported {MAX_CLASSES}")
+    if params.space_size > 1 << MAX_SPACE_BITS:
+        raise ValueError(f"space size exceeds the supported 2^{MAX_SPACE_BITS}")
+    return params
 
 
 def _parse_weights(text: str, n: int):
@@ -92,22 +102,13 @@ def cmd_scheme_info(args):
 
 def cmd_scheme_eigenmatrix(args):
     params = _parse_scheme(args.scheme_json)
-    mat = eigenmatrix(params).entries
-    size = params.space_size
-    m = len(mat)
-    product = [
-        [sum(mat[i][t] * mat[t][j] for t in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
-    involution = all(
-        product[i][j] == (size if i == j else 0) for i in range(m) for j in range(m)
-    )
+    mat = eigenmatrix(params).entries  # raises unless P P = |X| I
     return {
         "kind": params.kind,
         "n": params.n,
-        "spaceSize": _json_int(size),
+        "spaceSize": _json_int(params.space_size),
         "matrix": [[_json_int(v) for v in row] for row in mat],
-        "involution_ok": involution,
+        "involution_ok": True,
     }
 
 
@@ -308,6 +309,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the size budget, not Python's 4300-digit default, bounds the
+        # integers a command reads and prints
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

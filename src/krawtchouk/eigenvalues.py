@@ -3,8 +3,9 @@
 Two closed forms are implemented for the eigenvalues of a Krawtchouk
 association scheme: the b-Krawtchouk sum C_k(x, n) and Delsarte's
 generalised Krawtchouk sum P_k(x, n).  They are equal as functions but
-their individual terms cancel differently, so computing both and comparing
-is a strong arithmetic self-check; the eigenmatrix constructor always does.
+their individual terms cancel differently, so they serve as independent
+references.  The eigenmatrix uses neither: it is built in integers from the
+valencies by the defining recurrence and checked against P P = |X| I.
 """
 from __future__ import annotations
 
@@ -94,32 +95,36 @@ class Eigenmatrix:
 
 
 def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
-    """Build the (n+1) x (n+1) eigenmatrix, cross-checking both closed forms.
+    """Build the (n+1) x (n+1) eigenmatrix by the defining recurrence.
 
-    A mismatch between the two forms, or a non-integer entry, signals an
-    arithmetic bug rather than bad input, hence ArithmeticError.  Matrices
-    are immutable and cached per parameter set.
+    Row x is the valency row of the scheme with n - x classes, carried up
+    x times by C_{k+1}(x+1, n+1) = b^{k+1} C_{k+1}(x, n) - b^k C_k(x, n).
+    The result must satisfy P P = |X| I; a failure signals an arithmetic
+    bug rather than bad input, hence ArithmeticError.  Matrices are
+    immutable and cached per parameter set.
     """
     return _eigenmatrix_cached(params)
 
 
 @functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
 def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
-    n = params.n
+    n, b, c = params.n, as_int(params.b), params.c
     rows = []
-    for i in range(n + 1):
-        row = []
-        for k in range(n + 1):
-            v1 = c_poly(k, i, params)
-            v2 = delsarte_p(k, i, params)
-            if v1 != v2:
-                raise ArithmeticError(
-                    f"eigenvalue forms disagree at (i={i}, k={k}): {v1} != {v2}"
-                )
-            if v1.denominator != 1:
-                raise ArithmeticError(f"non-integer eigenvalue at (i={i}, k={k}): {v1}")
-            row.append(as_int(v1))
+    for x in range(n + 1):
+        m = n - x
+        row = [as_int(gauss(m, k, b) * gamma(m, k, b, c)) for k in range(m + 1)]
+        for _ in range(x):
+            row.append(0)  # C_k(x, m) = 0 for k > m
+            row = row[:1] + [
+                b ** k * row[k] - b ** (k - 1) * row[k - 1] for k in range(1, len(row))
+            ]
         rows.append(tuple(row))
+    size = params.space_size
+    cols = list(zip(*rows))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            if sum(u * v for u, v in zip(row, col)) != (size if i == j else 0):
+                raise ArithmeticError(f"eigenmatrix fails P·P = |X|·I at ({i}, {j})")
     return Eigenmatrix(entries=tuple(rows), params=params)
 
 

@@ -44,11 +44,11 @@ class GF:
     """Finite field of the given order with precomputed tables."""
 
     def __init__(self, order: int):
+        if order > MAX_ORDER:  # before factoring, which is trial division
+            raise ValueError(f"field order {order} exceeds the supported {MAX_ORDER}")
         fp = factor_prime_power(order)
         if fp is None:
             raise ValueError(f"{order} is not a prime power")
-        if order > MAX_ORDER:
-            raise ValueError(f"field order {order} exceeds the supported {MAX_ORDER}")
         self.order = order
         self.p, self.k = fp
         if self.k == 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bnary import is_int
 from .eigenvalues import SchemeParams
-from .fields import GF, field, is_prime_power, matrix_rank, nullspace, row_reduce
+from .fields import GF, MAX_ORDER, field, is_prime_power, matrix_rank, nullspace, row_reduce
 
 ENUM_GUARD = 1 << 20
 SPACE_GUARD = 1 << 12
@@ -126,6 +126,8 @@ class SchemeSpace:
     """Coordinate model of one scheme's ambient space."""
 
     def __init__(self, params: SchemeParams):
+        if params.q > MAX_ORDER:  # before factoring, which is trial division
+            raise ValueError(f"field order {params.q} exceeds the supported {MAX_ORDER}")
         if not is_prime_power(params.q):
             raise ValueError(f"oracle requires q to be a prime power, got {params.q}")
         kind, q = params.kind, params.q

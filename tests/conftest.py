@@ -5,7 +5,9 @@ exercises the same instances; all comparisons are exact.
 """
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -39,6 +41,22 @@ def desk_schemes(max_n: int = 4):
         out.append(make_scheme("hermitian", q, t=2))
         out.append(make_scheme("hermitian", q, t=3))
     return out
+
+
+@contextlib.contextmanager
+def within_seconds(limit: float):
+    """Raise TimeoutError, instead of hanging, if the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -112,14 +112,28 @@ def code_corpus():
     return corpus
 
 
+# one scheme per family at q=4 with n in 8..11, the eigenmatrix sizes of
+# the benchmark's CLI decks
+Q4_DECK_SIZES = [
+    make_scheme("hamming", 4, n=11),
+    make_scheme("bilinear", 4, m=10, n=9),
+    make_scheme("gabidulin", 4, m=8, n=8),
+    make_scheme("skew", 4, t=21),
+    make_scheme("hermitian", 4, t=10),
+]
+
+
 def test_criterion_01_eigenvalue_form_equality():
+    # the eigenmatrix is built by the recurrence; both closed forms must
+    # reproduce every entry
     compared = 0
-    for params in _all_kind_schemes():
+    for params in _all_kind_schemes() + Q4_DECK_SIZES:
+        em = eigenmatrix(params).entries
         for k in range(params.n + 1):
             for x in range(params.n + 1):
-                assert c_poly(k, x, params) == delsarte_p(k, x, params)
+                assert em[x][k] == c_poly(k, x, params) == delsarte_p(k, x, params)
                 compared += 1
-    _report(1, f"both eigenvalue forms agree on {compared} (k, x, scheme) triples")
+    _report(1, f"eigenmatrix and both forms agree on {compared} (k, x, scheme) triples")
 
 
 def test_criterion_02_table_one_reproduction():

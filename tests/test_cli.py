@@ -10,6 +10,8 @@ import krawtchouk
 from krawtchouk import cli
 from krawtchouk.cli import main
 
+from conftest import within_seconds
+
 HAM3 = '{"kind":"hamming","q":2,"n":3}'
 
 
@@ -232,6 +234,38 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert code == 2
     assert out == ""
     assert "--trials" in err
+
+
+@pytest.mark.parametrize(
+    "q, n, accepted",
+    [
+        (2, 64, True),
+        (2, 65, False),  # more classes than MAX_CLASSES
+        (2 ** 256, 64, True),  # |X| = 2^16384 exactly
+        (2 ** 256 + 1, 64, False),  # |X| just above 2^MAX_SPACE_BITS
+    ],
+    ids=["n=64", "n=65", "q=2^256", "q=2^256+1"],
+)
+def test_size_budget(capsys, q, n, accepted):
+    assert (cli.MAX_CLASSES, cli.MAX_SPACE_BITS) == (64, 256 * 64)
+    spec = json.dumps({"kind": "hamming", "q": q, "n": n})
+    code, out, err = run_cli(capsys, "scheme", "info", "--scheme-json", spec)
+    if accepted:
+        assert code == 0
+        assert len(json.loads(out)["xi"]) == n + 1
+    else:
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported" in err
+
+
+def test_verify_rejects_large_q_fast(capsys):
+    spec = '{"kind":"hamming","q":2305843009213693951,"n":1}'  # q = 2^61 - 1, a prime
+    with within_seconds(1):
+        code, out, err = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "transform")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the supported 16" in err
 
 
 def test_internal_errors_are_not_invalid_input(monkeypatch):

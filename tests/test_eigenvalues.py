@@ -1,6 +1,9 @@
 """Eigenvalue polynomials: both closed forms, recurrence, eigenmatrix."""
+import re
+
 import pytest
 
+from krawtchouk import eigenvalues
 from krawtchouk.bnary import gamma, gauss
 from krawtchouk.eigenvalues import (
     c_poly,
@@ -87,6 +90,24 @@ def test_eigenmatrix_involution_and_orthogonality():
             for ell in range(m):
                 s = sum(v[i] * em[i][k] * em[i][ell] for i in range(m))
                 assert s == (size * v[k] if k == ell else 0)
+
+
+def test_eigenmatrix_check_rejects_corrupt_valency(monkeypatch):
+    params = make_scheme("hamming", 3, n=4)
+
+    def corrupt_gamma(x, k, b, c):
+        value = gamma(x, k, b, c)
+        return value + 1 if (x, k) == (params.n, 2) else value
+
+    monkeypatch.setattr(eigenvalues, "gamma", corrupt_gamma)
+    eigenvalues._eigenmatrix_cached.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=re.escape("P·P = |X|·I")):
+            eigenmatrix(params)
+    finally:
+        monkeypatch.undo()
+        eigenvalues._eigenmatrix_cached.cache_clear()
+    assert eigenmatrix(params).entries[0] == tuple(xi_vector(params))
 
 
 def test_check_recurrence_examples():

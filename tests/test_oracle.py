@@ -6,6 +6,7 @@ import pytest
 
 from krawtchouk import oracle
 from krawtchouk.eigenvalues import c_poly
+from krawtchouk.fields import GF
 from krawtchouk.macwilliams import TransformInput, transform_eigen, transform_functional
 from krawtchouk.oracle import (
     SPACE_GUARD,
@@ -24,7 +25,7 @@ from krawtchouk.oracle import (
 )
 from krawtchouk.schemes import KINDS, make_scheme, xi_vector
 
-from conftest import desk_schemes
+from conftest import desk_schemes, within_seconds
 
 HAM23 = make_scheme("hamming", 2, n=3)
 HAM27 = make_scheme("hamming", 2, n=7)
@@ -316,6 +317,15 @@ def test_oracle_rejects_non_prime_power_q():
         space_for(make_scheme("hermitian", 4, t=2))
     # at m = 1 the coordinates are F_4 itself, so no expansion is needed
     assert verify_scheme_axioms(make_scheme("gabidulin", 4, m=1, n=1))["ok"]
+
+
+def test_oracle_rejects_large_q_before_factoring():
+    q = 2 ** 61 - 1  # prime, so trial division would run for hours
+    with within_seconds(1):
+        with pytest.raises(ValueError, match="exceeds the supported 16"):
+            space_for(make_scheme("hamming", q, n=1))
+        with pytest.raises(ValueError, match="exceeds the supported 16"):
+            GF(q)
 
 
 def test_model_table_covers_every_kind():
