@@ -10,6 +10,11 @@ parameter-independent coefficient vectors satisfy the contract trivially.
 Coefficient maps must be pure; evaluations are memoised per (u, lambda),
 and because the maps are pure the memo writes are idempotent, so values
 stay safe to evaluate from concurrent readers.
+
+In production only schemes.omega_enumerator evaluates a HomPoly (mu_family
+at lambda = n, as its cross-check).  macwilliams.transform_functional sums
+the b-product at lambda = n directly in integers; the tests compare it with
+b_product here and check the algebra's identities.
 """
 from __future__ import annotations
 

@@ -40,8 +40,8 @@ EXIT_VIOLATION = 3
 
 # Size budget for every command: the eigenmatrix alone is (n+1)^2 integers
 # of up to about log2|X| bits, so larger schemes fail fast with exit 2.
+# make_scheme itself enforces |X| <= 2^schemes.MAX_SPACE_BITS.
 MAX_CLASSES = 64
-MAX_SPACE_BITS = 16384  # |X| <= 2^MAX_SPACE_BITS
 
 
 class Violation(Exception):
@@ -67,8 +67,6 @@ def _parse_scheme(text: str):
     params = scheme_from_json(obj)
     if params.n > MAX_CLASSES:
         raise ValueError(f"class count {params.n} exceeds the supported {MAX_CLASSES}")
-    if params.space_size > 1 << MAX_SPACE_BITS:
-        raise ValueError(f"space size exceeds the supported 2^{MAX_SPACE_BITS}")
     return params
 
 

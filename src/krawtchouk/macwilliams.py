@@ -1,18 +1,18 @@
 """MacWilliams transform of weight distributions, moments, maximal codes.
 
 The transform is computed along two independent routes: multiplication by
-the exact integer eigenmatrix, and expansion of the weight enumerator in the
-polynomial algebra.  Integrality of the output is enforced, not rounded; a
-non-integer or negative dual count means the input distribution is not the
-weight distribution of a linear code in the scheme.
+the exact integer eigenmatrix, and the paper's functional transform, the
+b-product of (X-Y)^[i] and (X + (c b^lambda - 1)Y)^[n-i] evaluated at
+lambda = n, summed in plain integers.  Integrality of the output is
+enforced, not rounded; a non-integer or negative dual count means the input
+distribution is not the weight distribution of a linear code in the scheme.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balgebra import b_product, mu_family, nu_family
-from .bnary import bpow, gamma, gauss, is_int, sigma
+from .bnary import as_int, bpow, gamma, gauss, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix
 
 
@@ -53,16 +53,17 @@ class TransformInput:
         return self.params.space_size // self.code_size
 
 
-def _as_counts(values) -> list:
+def _as_counts(values, size=1) -> list:
+    """The exact quotients v / size as counts; else the input is unrealizable."""
     out = []
     for k, v in enumerate(values):
-        v = Fraction(v)
-        if v.denominator != 1 or v < 0:
+        count, rem = divmod(v, size)
+        if rem or count < 0:
             raise UnrealizableDistribution(
-                f"dual count at weight {k} is {v}; input is not the weight "
-                "distribution of a linear code in this scheme"
+                f"dual count at weight {k} is {Fraction(v, size)}; input is not "
+                "the weight distribution of a linear code in this scheme"
             )
-        out.append(v.numerator)
+        out.append(count)
     return out
 
 
@@ -70,29 +71,52 @@ def transform_eigen(tin: TransformInput) -> list:
     """Dual distribution via the eigenmatrix: c' = (1/|C|) c P."""
     p = eigenmatrix(tin.params).entries
     n = tin.params.n
-    raw = [
-        Fraction(sum(tin.dist[i] * p[i][k] for i in range(n + 1)), tin.code_size)
-        for k in range(n + 1)
-    ]
-    return _as_counts(raw)
+    raw = [sum(tin.dist[i] * p[i][k] for i in range(n + 1)) for k in range(n + 1)]
+    return _as_counts(raw, tin.code_size)
 
 
 def transform_functional(tin: TransformInput) -> list:
-    """Dual distribution via the polynomial algebra.
+    """Dual distribution via the functional transform of the paper.
 
-    Expands (1/|C|) sum_i c_i (X-Y)^[i] * (X + (c b^n - 1)Y)^[n-i] with the
-    parameter set to the class count and reads off the coefficients.
+    The dual enumerator is the b-product sum
+    (1/|C|) sum_i c_i (X-Y)^[i] * (X + (c b^lambda - 1)Y)^[n-i] at lambda = n.
+    Expanding each product there gives, in integers,
+
+        |C| c'_k = sum_i c_i sum_j (-1)^j b^(sigma(j) + j(n-i))
+                   [i, j]_b [n-i, k-j]_b gamma(n-j, k-j).
+
+    The Gaussian rows come from the q-Pascal rule
+    [x, k] = [x-1, k-1] + b^k [x-1, k], valid for every base b here
+    (1, q, q^2 and -q), and gamma(n-j, m) is the running product of
+    c b^(n-j) - b^l for l < m, an integer whenever n - j >= 1.
     """
     params = tin.params
-    b, c, n = params.b, params.c, params.n
-    acc = [Fraction(0)] * (n + 1)
+    n, b = params.n, as_int(params.b)
+    rows = [[1]]
+    for x in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([1] + [prev[k - 1] + b ** k * prev[k] for k in range(1, x + 1)])
+    gammas = [[1]]  # gammas[m][u] = gamma(m, u) for u <= m; j = n reads gamma(0, 0)
+    cbx = as_int(params.c * b)
+    for m in range(1, n + 1):
+        row = [1]
+        for ell in range(m):
+            row.append(row[-1] * (cbx - b ** ell))
+        gammas.append(row)
+        cbx *= b
+    acc = [0] * (n + 1)
     for i, ci in enumerate(tin.dist):
         if ci == 0:
             continue
-        prod = b_product(nu_family(i, b), mu_family(n - i, b, c), b)
-        for k in range(n + 1):
-            acc[k] += ci * prod.coeff(k, n)
-    return _as_counts(v / tin.code_size for v in acc)
+        left, right = rows[i], rows[n - i]
+        for j in range(i + 1):
+            coef = ci * b ** (sigma(j) + j * (n - i)) * left[j]
+            if j % 2:
+                coef = -coef
+            gam = gammas[n - j]
+            for k in range(j, j + n - i + 1):
+                acc[k] += coef * right[k - j] * gam[k - j]
+    return _as_counts(acc, tin.code_size)
 
 
 def moment_b(tin: TransformInput, phi: int) -> tuple:

@@ -13,28 +13,29 @@ from .eigenvalues import SchemeParams, c_value
 
 
 def _hamming(q, n):
-    return Fraction(1), Fraction(q), n, q ** n
+    return Fraction(1), Fraction(q), n
 
 
 def _rank_metric(q, m, n):
     if m < n:
         raise ValueError(f"bilinear and gabidulin schemes require m >= n, got m={m}, n={n}")
-    return Fraction(q), Fraction(q) ** (m - n), n, q ** (m * n)
+    return Fraction(q), Fraction(q) ** (m - n), n
 
 
 def _skew(q, t):
     if t < 2:
         raise ValueError("skew scheme needs t >= 2")
     c = Fraction(q) if t % 2 else Fraction(1, q)
-    return Fraction(q) ** 2, c, t // 2, q ** (t * (t - 1) // 2)
+    return Fraction(q) ** 2, c, t // 2
 
 
 def _hermitian(q, t):
-    return Fraction(-q), Fraction(-1), t, q ** (t * t)
+    return Fraction(-q), Fraction(-1), t
 
 
-# kind -> (dimension keys in dims order, rule (q, *dims) -> (b, c, n, |X|)).
-# The rules implement this parameter table:
+# kind -> (dimension keys in dims order, exponent e of |X| = q^e as a function
+# of the dims, rule (q, *dims) -> (b, c, n)).  Together they implement this
+# parameter table:
 #
 #     kind        b     c                      classes n      |X|
 #     hamming     1     q                      n              q^n
@@ -45,13 +46,14 @@ def _hermitian(q, t):
 #
 # In every case |X| = (c b^n)^n exactly, which make_scheme asserts.
 FAMILIES = {
-    "hamming": (("n",), _hamming),
-    "bilinear": (("m", "n"), _rank_metric),
-    "gabidulin": (("m", "n"), _rank_metric),
-    "skew": (("t",), _skew),
-    "hermitian": (("t",), _hermitian),
+    "hamming": (("n",), lambda n: n, _hamming),
+    "bilinear": (("m", "n"), lambda m, n: m * n, _rank_metric),
+    "gabidulin": (("m", "n"), lambda m, n: m * n, _rank_metric),
+    "skew": (("t",), lambda t: t * (t - 1) // 2, _skew),
+    "hermitian": (("t",), lambda t: t * t, _hermitian),
 }
 KINDS = tuple(FAMILIES)
+MAX_SPACE_BITS = 16384  # |X| <= 2^MAX_SPACE_BITS
 
 
 def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
@@ -60,14 +62,15 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     q must be an integer >= 2; primality of q as a prime power matters only
     to the brute-force oracle, which validates it separately when building
     the underlying field.  The dimension keywords must be exactly the
-    family's keys, each a positive integer.
+    family's keys, each a positive integer, and |X| must not exceed
+    2^MAX_SPACE_BITS; that bound is checked before any power of q is formed.
     """
     kind = kind.lower()
     if kind not in FAMILIES:
         raise ValueError(f"unknown scheme kind {kind!r}")
     if not is_int(q) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    keys, rule = FAMILIES[kind]
+    keys, exponent, rule = FAMILIES[kind]
     missing, extra = set(keys) - set(dims), set(dims) - set(keys)
     if missing or extra:
         raise ValueError(
@@ -77,7 +80,12 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     for key, v in zip(keys, raw):
         if not is_int(v) or v < 1:
             raise ValueError(f"dimension {key} must be a positive integer, got {v!r}")
-    b, c, n, size = rule(q, *raw)
+    e = exponent(*raw)
+    # q >= 2^(bits-1), so the first test rejects without forming q^e; once it
+    # passes, q^e < 2^(2 MAX_SPACE_BITS) is cheap to form and compare exactly.
+    if e * (q.bit_length() - 1) > MAX_SPACE_BITS or (size := q ** e) > 1 << MAX_SPACE_BITS:
+        raise ValueError(f"space size exceeds the supported 2^{MAX_SPACE_BITS}")
+    b, c, n = rule(q, *raw)
     params = SchemeParams(kind=kind, q=q, dims=raw, b=b, c=c, n=n, space_size=size)
     assert params.cbn() ** n == size, "space size must equal (c b^n)^n"
     return params
@@ -122,7 +130,7 @@ def omega_enumerator(params: SchemeParams) -> ConstPoly:
 
 def scheme_to_json(params: SchemeParams) -> dict:
     """JSON form {"kind": ..., "q": ..., dims...} accepted back by scheme_from_json."""
-    keys, _ = FAMILIES[params.kind]
+    keys = FAMILIES[params.kind][0]
     return {"kind": params.kind, "q": params.q, **dict(zip(keys, params.dims))}
 
 

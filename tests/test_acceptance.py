@@ -5,10 +5,12 @@ failure surfaces as the corresponding test failing.  Randomised criteria
 use fixed seeds so the corpus is reproducible.
 """
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from krawtchouk import macwilliams
 from krawtchouk.balgebra import (
     NU_LINEAR,
     b_derivative,
@@ -31,6 +33,7 @@ from krawtchouk.bnary import beta, bpow, gamma, gauss, sigma
 from krawtchouk.eigenvalues import c_poly, check_recurrence, delsarte_p, eigenmatrix
 from krawtchouk.macwilliams import (
     TransformInput,
+    UnrealizableDistribution,
     forward_triangular,
     invert_triangular,
     maximal_distribution,
@@ -207,6 +210,43 @@ def test_criterion_06_macwilliams_oracle_equivalence(code_corpus):
         f"both transform routes equal brute-forced duals on {len(code_corpus)} codes "
         f"({CODES_PER_SCHEME} per parameter set)",
     )
+
+
+def test_functional_transform_matches_b_product_per_weight(monkeypatch):
+    # The integer route against the b-algebra it expands: (X-Y)^[i] *
+    # (X + (c b^lambda - 1)Y)^[n-i] at lambda = n.  Each weight i is checked
+    # alone (the unit distribution with |C| = 1, division bypassed), so a wrong
+    # sign or power in one term cannot cancel against another.
+    monkeypatch.setattr(macwilliams, "_as_counts", lambda totals, size: list(totals))
+    for params in _all_kind_schemes() + Q4_DECK_SIZES:
+        n, b, c = params.n, params.b, params.c
+        for i in range(n + 1):
+            unit = [0] * (n + 1)
+            unit[i] = 1
+            got = transform_functional(TransformInput(unit, 1, params))
+            prod = b_product(nu_family(i, b), mu_family(n - i, b, c), b)
+            assert got == [prod.coeff(k, n) for k in range(n + 1)], (params, i)
+
+
+@pytest.mark.parametrize(
+    "params, dist, size, value",
+    [
+        (make_scheme("hamming", 2, n=3), (1, 3, 0, 0), 4, "3/2"),
+        (make_scheme("hamming", 2, n=3), (0, 0, 0, 1), 1, "-3"),
+        (make_scheme("hamming", 2, n=3), (0, 0, 1, 3), 4, "-5/2"),
+        (make_scheme("skew", 2, t=4), (0, 0, 2), 2, "-5"),
+    ],
+    ids=["fraction", "negative", "negative-fraction", "skew-even-t"],
+)
+def test_functional_transform_rejects_unrealizable(params, dist, size, value):
+    message = (
+        f"dual count at weight 1 is {value}; input is not the weight "
+        "distribution of a linear code in this scheme"
+    )
+    tin = TransformInput(dist, size, params)
+    for transform in (transform_functional, transform_eigen):
+        with pytest.raises(UnrealizableDistribution, match=f"^{re.escape(message)}$"):
+            transform(tin)
 
 
 def test_criterion_07_named_codes():

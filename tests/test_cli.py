@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import krawtchouk
-from krawtchouk import cli
+from krawtchouk import cli, schemes
 from krawtchouk.cli import main
 
 from conftest import within_seconds
@@ -247,7 +247,7 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     ids=["n=64", "n=65", "q=2^256", "q=2^256+1"],
 )
 def test_size_budget(capsys, q, n, accepted):
-    assert (cli.MAX_CLASSES, cli.MAX_SPACE_BITS) == (64, 256 * 64)
+    assert (cli.MAX_CLASSES, schemes.MAX_SPACE_BITS) == (64, 256 * 64)
     spec = json.dumps({"kind": "hamming", "q": q, "n": n})
     code, out, err = run_cli(capsys, "scheme", "info", "--scheme-json", spec)
     if accepted:
@@ -257,6 +257,26 @@ def test_size_budget(capsys, q, n, accepted):
         assert code == 2
         assert out == ""
         assert "exceeds the supported" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "bilinear", "q": 3, "m": 10 ** 7, "n": 1},
+        {"kind": "gabidulin", "q": 3, "m": 10 ** 7, "n": 1},
+        {"kind": "hamming", "q": 2, "n": 10 ** 7},
+        {"kind": "skew", "q": 2, "t": 10 ** 7},
+        {"kind": "hermitian", "q": 2, "t": 10 ** 7},
+    ],
+    ids=lambda spec: spec["kind"],
+)
+def test_size_budget_rejects_before_forming_the_space(capsys, spec):
+    # |X| = q^e is never formed: the bound on e alone rejects these
+    with within_seconds(1):
+        code, out, err = run_cli(capsys, "scheme", "info", "--scheme-json", json.dumps(spec))
+    assert code == 2
+    assert out == ""
+    assert "space size exceeds the supported" in err
 
 
 def test_verify_rejects_large_q_fast(capsys):
