@@ -1,10 +1,13 @@
 """Exact b-nary combinatorics: Gaussian coefficients, beta and gamma products.
 
-Everything here is evaluated at a concrete rational base b (and constant c),
-never symbolically.  All arithmetic is exact rational arithmetic; floats are
-never introduced.  The base b = 1 is a special branch wherever the generic
-product would divide by zero: Gaussian coefficients degenerate to binomial
-coefficients and the beta product to the falling factorial.
+Everything here is evaluated at a concrete base b (and constant c), never
+symbolically, and floats are never introduced.  gauss, beta, gamma and bpow
+take any rational base and compute with exact rationals; the base b = 1 is a
+special branch wherever the generic product would divide by zero: Gaussian
+coefficients degenerate to binomial coefficients and the beta product to the
+falling factorial.  gauss_rows and gamma_rows build whole tables in plain
+integers for an integral base, the case of every scheme family; the
+rational functions are their references.
 """
 from __future__ import annotations
 
@@ -86,6 +89,59 @@ def gamma(x: int, k: int, b, c) -> Fraction:
     for i in range(k):
         total *= cbx - b ** i
     return total
+
+
+def _table_base(n, b) -> int:
+    """Check a table's size n and base b; returns b as an int.
+
+    Rejects a bool, float, non-integral or zero base with ValueError.
+    """
+    if not is_int(n) or n < 0:
+        raise ValueError(f"table size n must be an integer >= 0, got {n!r}")
+    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
+        raise ValueError(f"the base b must be an int or Fraction, got {b!r}")
+    if b == 0 or b.denominator != 1:
+        raise ValueError(f"the base b must be a nonzero integer, got {b}")
+    return int(b)
+
+
+def gauss_rows(n: int, b) -> list:
+    """Integer table rows[x][k] = [x, k]_b for 0 <= k <= x <= n.
+
+    Built by the q-Pascal rule [x, k] = [x-1, k-1] + b^k [x-1, k], a
+    polynomial identity in b, so every nonzero integral base works: b = 1
+    gives Pascal's triangle, and negative bases need no special case.
+    """
+    b = _table_base(n, b)
+    pows = [b ** k for k in range(n + 1)]
+    rows = [[1]]
+    for x in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([1] + [prev[k - 1] + pows[k] * prev[k] for k in range(1, x + 1)])
+    return rows
+
+
+def gamma_rows(n: int, b, c) -> list:
+    """Integer table rows[m][u] = gamma(m, u) for 0 <= u <= m <= n.
+
+    Row m holds the running products of c b^m - b^l for l < u.  c b^m must
+    be an integer for m >= 1 (ValueError otherwise); c itself need not be:
+    skew schemes with even t have c = 1/q, and row 0 is the empty product 1
+    without forming c b^0.
+    """
+    b = _table_base(n, b)
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise ValueError(f"the constant c must be an int or Fraction, got {c!r}")
+    pows = [b ** ell for ell in range(n)]
+    rows = [[1]]
+    cbm = as_int(c * b) if n else 0
+    for m in range(1, n + 1):
+        row = [1]
+        for ell in range(m):
+            row.append(row[-1] * (cbm - pows[ell]))
+        rows.append(row)
+        cbm *= b
+    return rows
 
 
 def as_int(v) -> int:

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnary import as_int, bpow, gamma, gauss, sigma
+from .bnary import as_int, bpow, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ def delsarte_value(k: int, x: int, n: int, b, c) -> Fraction:
 
 
 def _check_range(k: int, x: int, n: int) -> None:
+    if not (is_int(k) and is_int(x)):
+        raise ValueError(f"k and x must be integers, got k={k!r}, x={x!r}")
     if not (0 <= k <= n and 0 <= x <= n):
         raise ValueError(f"require 0 <= k, x <= n, got k={k}, x={x}, n={n}")
 
@@ -108,11 +110,12 @@ def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
 
 @functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
 def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
-    n, b, c = params.n, as_int(params.b), params.c
+    n, b = params.n, as_int(params.b)
+    gauss_m, gamma_m = gauss_rows(n, b), gamma_rows(n, b, params.c)
     rows = []
     for x in range(n + 1):
         m = n - x
-        row = [as_int(gauss(m, k, b) * gamma(m, k, b, c)) for k in range(m + 1)]
+        row = [g * h for g, h in zip(gauss_m[m], gamma_m[m])]
         for _ in range(x):
             row.append(0)  # C_k(x, m) = 0 for k > m
             row = row[:1] + [

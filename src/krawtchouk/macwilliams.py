@@ -6,13 +6,16 @@ b-product of (X-Y)^[i] and (X + (c b^lambda - 1)Y)^[n-i] evaluated at
 lambda = n, summed in plain integers.  Integrality of the output is
 enforced, not rounded; a non-integer or negative dual count means the input
 distribution is not the weight distribution of a linear code in the scheme.
+The moment identities and the maximal-code distribution are integer sums
+too, over the Gaussian and gamma tables of bnary; the moment sides are
+returned as Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bnary import as_int, bpow, gamma, gauss, is_int, sigma
+from .bnary import as_int, bpow, gamma_rows, gauss, gauss_rows, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix
 
 
@@ -85,25 +88,14 @@ def transform_functional(tin: TransformInput) -> list:
         |C| c'_k = sum_i c_i sum_j (-1)^j b^(sigma(j) + j(n-i))
                    [i, j]_b [n-i, k-j]_b gamma(n-j, k-j).
 
-    The Gaussian rows come from the q-Pascal rule
-    [x, k] = [x-1, k-1] + b^k [x-1, k], valid for every base b here
-    (1, q, q^2 and -q), and gamma(n-j, m) is the running product of
-    c b^(n-j) - b^l for l < m, an integer whenever n - j >= 1.
+    The Gaussian rows and the gamma products come from the integer tables
+    gauss_rows and gamma_rows; gamma(n-j, m) is an integer even for skew
+    schemes with even t, where c = 1/q but c b^(n-j) is integral.
     """
     params = tin.params
     n, b = params.n, as_int(params.b)
-    rows = [[1]]
-    for x in range(1, n + 1):
-        prev = rows[-1] + [0]
-        rows.append([1] + [prev[k - 1] + b ** k * prev[k] for k in range(1, x + 1)])
-    gammas = [[1]]  # gammas[m][u] = gamma(m, u) for u <= m; j = n reads gamma(0, 0)
-    cbx = as_int(params.c * b)
-    for m in range(1, n + 1):
-        row = [1]
-        for ell in range(m):
-            row.append(row[-1] * (cbx - b ** ell))
-        gammas.append(row)
-        cbx *= b
+    rows = gauss_rows(n, b)
+    gammas = gamma_rows(n, b, params.c)
     acc = [0] * (n + 1)
     for i, ci in enumerate(tin.dist):
         if ci == 0:
@@ -124,21 +116,20 @@ def moment_b(tin: TransformInput, phi: int) -> tuple:
 
     lhs = sum_{i<=n-phi} [n-i, phi] c_i
     rhs = (c b^n)^(n-phi)/|C'| * sum_{i<=phi} [n-i, n-phi] c'_i
+
+    Both sums are taken in integers over the gauss_rows table (c b^n is an
+    integer in every family); the sides are returned as Fractions.
     """
     params = tin.params
-    n, b = params.n, params.b
+    n = params.n
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
-    lhs = sum(
-        (gauss(n - i, phi, b) * tin.dist[i] for i in range(n - phi + 1)),
-        Fraction(0),
-    )
-    tail = sum(
-        (gauss(n - i, n - phi, b) * dual[i] for i in range(phi + 1)), Fraction(0)
-    )
-    rhs = params.cbn() ** (n - phi) * tail / tin.dual_size()
-    return lhs, rhs
+    rows = gauss_rows(n, params.b)
+    lhs = sum(rows[n - i][phi] * tin.dist[i] for i in range(n - phi + 1))
+    tail = sum(rows[n - i][n - phi] * dual[i] for i in range(phi + 1))
+    cbn = as_int(params.cbn())
+    return Fraction(lhs), Fraction(cbn ** (n - phi) * tail, tin.dual_size())
 
 
 def moment_binv(tin: TransformInput, phi: int) -> tuple:
@@ -147,30 +138,32 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
     lhs = sum_{i>=phi} b^(phi(n-i)) [i, phi] c_i
     rhs = (c b^n)^(n-phi)/|C'| *
           sum_{i<=phi} (-1)^i b^(sigma(i)+i(phi-i)) [n-i, n-phi] gamma(n-i, phi-i) c'_i
+
+    Both sums are taken in integers over the gauss_rows and gamma_rows
+    tables; the sides are returned as Fractions.
     """
     params = tin.params
-    n, b, c = params.n, params.b, params.c
+    n = params.n
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
+    b = as_int(params.b)
+    rows = gauss_rows(n, b)
+    gammas = gamma_rows(n, b, params.c)
     lhs = sum(
-        (
-            bpow(b, phi * (n - i)) * gauss(i, phi, b) * tin.dist[i]
-            for i in range(phi, n + 1)
-        ),
-        Fraction(0),
+        b ** (phi * (n - i)) * rows[i][phi] * tin.dist[i] for i in range(phi, n + 1)
     )
-    tail = Fraction(0)
+    tail = 0
     for i in range(phi + 1):
         term = (
-            bpow(b, sigma(i) + i * (phi - i))
-            * gauss(n - i, n - phi, b)
-            * gamma(n - i, phi - i, b, c)
+            b ** (sigma(i) + i * (phi - i))
+            * rows[n - i][n - phi]
+            * gammas[n - i][phi - i]
             * dual[i]
         )
         tail += -term if i % 2 else term
-    rhs = params.cbn() ** (n - phi) * tail / tin.dual_size()
-    return lhs, rhs
+    cbn = as_int(params.cbn())
+    return Fraction(lhs), Fraction(cbn ** (n - phi) * tail, tin.dual_size())
 
 
 def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list:
@@ -182,10 +175,12 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
         c_{d_s+w} = sum_i (-1)^(w-i) b^sigma(w-i) [d_s+w, d_s+i] [n, d_s+w]
                     ((c b^n)^(d_s+i) / |C'| - 1).
 
+    Each count is summed in integers as |C'| c_{d_s+w}, with
+    (c b^n)^(d_s+i) - |C'| in the last factor, and then divided exactly.
     Parameters yielding negative or fractional counts are rejected: either
     no maximal code exists with them, or the inputs are inconsistent.
     """
-    n, b = params.n, params.b
+    n = params.n
     if not is_int(d_s) or not 1 <= d_s <= n + 1:
         raise ValueError(f"d_s must be an integer in 1..{n + 1}, got {d_s!r}")
     if not is_int(code_size):
@@ -193,23 +188,25 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     if code_size < 1 or params.space_size % code_size:
         raise ValueError("code size must divide the space size")
     dual_size = params.space_size // code_size
-    cbn = params.cbn()
+    b = as_int(params.b)
+    cbn = as_int(params.cbn())
+    rows = gauss_rows(n, b)
 
-    counts = [Fraction(0)] * (n + 1)
-    counts[0] = Fraction(1)
+    counts = [0] * (n + 1)
+    counts[0] = dual_size
     for w in range(n - d_s + 1):
-        total = Fraction(0)
+        total = 0
         for i in range(w + 1):
             term = (
-                bpow(b, sigma(w - i))
-                * gauss(d_s + w, d_s + i, b)
-                * gauss(n, d_s + w, b)
-                * (cbn ** (d_s + i) / dual_size - 1)
+                b ** sigma(w - i)
+                * rows[d_s + w][d_s + i]
+                * rows[n][d_s + w]
+                * (cbn ** (d_s + i) - dual_size)
             )
             total += -term if (w - i) % 2 else term
         counts[d_s + w] = total
     try:
-        out = _as_counts(counts)
+        out = _as_counts(counts, dual_size)
     except UnrealizableDistribution as exc:
         raise UnrealizableDistribution(
             f"no maximal code with d_s={d_s}, |C|={code_size} in this scheme: {exc}"

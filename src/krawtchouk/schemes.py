@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balgebra import ConstPoly, mu_family
-from .bnary import as_int, bpow, gamma, gauss, is_int
+from .bnary import bpow, gamma_rows, gauss_rows, is_int
 from .eigenvalues import SchemeParams, c_value
 
 
@@ -93,19 +93,20 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
 
 def xi(params: SchemeParams, omega: int) -> int:
     """Number of ambient elements of weight omega: [n,w]_b * gamma(n,w)."""
-    if not 0 <= omega <= params.n:
-        raise ValueError(f"omega must lie in 0..{params.n}")
-    value = gauss(params.n, omega, params.b) * gamma(
-        params.n, omega, params.b, params.c
-    )
-    count = as_int(value)
-    if count < 0:
-        raise ArithmeticError(f"negative weight count {count} at omega={omega}")
-    return count
+    if not is_int(omega) or not 0 <= omega <= params.n:
+        raise ValueError(f"omega must be an integer in 0..{params.n}, got {omega!r}")
+    return xi_vector(params)[omega]
 
 
 def xi_vector(params: SchemeParams) -> list:
-    return [xi(params, w) for w in range(params.n + 1)]
+    """The weight counts xi(0..n), read off row n of the integer tables."""
+    n, b = params.n, params.b
+    gauss_n, gamma_n = gauss_rows(n, b)[n], gamma_rows(n, b, params.c)[n]
+    counts = [g * h for g, h in zip(gauss_n, gamma_n)]
+    for omega, count in enumerate(counts):
+        if count < 0:
+            raise ArithmeticError(f"negative weight count {count} at omega={omega}")
+    return counts
 
 
 def omega_enumerator(params: SchemeParams) -> ConstPoly:

@@ -4,6 +4,7 @@ Every criterion prints a single pass line (visible with pytest -s); a
 failure surfaces as the corresponding test failing.  Randomised criteria
 use fixed seeds so the corpus is reproducible.
 """
+import functools
 import random
 import re
 from fractions import Fraction
@@ -29,7 +30,7 @@ from krawtchouk.balgebra import (
     scale,
     shift_param,
 )
-from krawtchouk.bnary import beta, bpow, gamma, gauss, sigma
+from krawtchouk.bnary import beta, bpow, gamma, gauss, is_int, sigma
 from krawtchouk.eigenvalues import c_poly, check_recurrence, delsarte_p, eigenmatrix
 from krawtchouk.macwilliams import (
     TransformInput,
@@ -51,7 +52,7 @@ from krawtchouk.oracle import (
     verify_scheme_axioms,
     weight_distribution,
 )
-from krawtchouk.schemes import hermitian_recurrence_equiv, make_scheme, xi_vector
+from krawtchouk.schemes import FAMILIES, hermitian_recurrence_equiv, make_scheme, xi_vector
 
 from conftest import BASES, desk_schemes, polys_equal, rand_const_poly
 
@@ -247,6 +248,138 @@ def test_functional_transform_rejects_unrealizable(params, dist, size, value):
     for transform in (transform_functional, transform_eigen):
         with pytest.raises(UnrealizableDistribution, match=f"^{re.escape(message)}$"):
             transform(tin)
+
+
+# The Fraction bodies of moment_b, moment_binv and maximal_distribution from
+# before the integer tables: the references that the integer sums must
+# reproduce value for value, type for type and message for message.  The
+# Gaussian coefficients are memoised only to keep the sweep fast.
+_ref_gauss = functools.lru_cache(maxsize=None)(gauss)
+
+
+def _fraction_moment_b(tin, phi):
+    params = tin.params
+    n, b = params.n, params.b
+    if not is_int(phi) or not 0 <= phi <= n:
+        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
+    dual = transform_eigen(tin)
+    lhs = sum(
+        (_ref_gauss(n - i, phi, b) * tin.dist[i] for i in range(n - phi + 1)),
+        Fraction(0),
+    )
+    tail = sum(
+        (_ref_gauss(n - i, n - phi, b) * dual[i] for i in range(phi + 1)), Fraction(0)
+    )
+    rhs = params.cbn() ** (n - phi) * tail / tin.dual_size()
+    return lhs, rhs
+
+
+def _fraction_moment_binv(tin, phi):
+    params = tin.params
+    n, b, c = params.n, params.b, params.c
+    if not is_int(phi) or not 0 <= phi <= n:
+        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
+    dual = transform_eigen(tin)
+    lhs = sum(
+        (
+            bpow(b, phi * (n - i)) * _ref_gauss(i, phi, b) * tin.dist[i]
+            for i in range(phi, n + 1)
+        ),
+        Fraction(0),
+    )
+    tail = Fraction(0)
+    for i in range(phi + 1):
+        term = (
+            bpow(b, sigma(i) + i * (phi - i))
+            * _ref_gauss(n - i, n - phi, b)
+            * gamma(n - i, phi - i, b, c)
+            * dual[i]
+        )
+        tail += -term if i % 2 else term
+    rhs = params.cbn() ** (n - phi) * tail / tin.dual_size()
+    return lhs, rhs
+
+
+def _fraction_maximal(params, d_s, code_size):
+    n, b = params.n, params.b
+    if not is_int(d_s) or not 1 <= d_s <= n + 1:
+        raise ValueError(f"d_s must be an integer in 1..{n + 1}, got {d_s!r}")
+    if not is_int(code_size):
+        raise ValueError(f"code size must be an integer, got {code_size!r}")
+    if code_size < 1 or params.space_size % code_size:
+        raise ValueError("code size must divide the space size")
+    dual_size = params.space_size // code_size
+    cbn = params.cbn()
+
+    counts = [Fraction(0)] * (n + 1)
+    counts[0] = Fraction(1)
+    for w in range(n - d_s + 1):
+        total = Fraction(0)
+        for i in range(w + 1):
+            term = (
+                bpow(b, sigma(w - i))
+                * _ref_gauss(d_s + w, d_s + i, b)
+                * _ref_gauss(n, d_s + w, b)
+                * (cbn ** (d_s + i) / dual_size - 1)
+            )
+            total += -term if (w - i) % 2 else term
+        counts[d_s + w] = total
+    try:
+        out = macwilliams._as_counts(counts)
+    except UnrealizableDistribution as exc:
+        raise UnrealizableDistribution(
+            f"no maximal code with d_s={d_s}, |C|={code_size} in this scheme: {exc}"
+        ) from None
+    if sum(out) != code_size:
+        raise UnrealizableDistribution(
+            f"maximal-code counts sum to {sum(out)}, expected {code_size}"
+        )
+    return out
+
+
+def _outcome(fn, *args):
+    """A call's values with their types, or its error type and message."""
+    try:
+        values = fn(*args)
+    except ValueError as exc:  # UnrealizableDistribution included
+        return type(exc), str(exc)
+    return values, [type(v) for v in values]
+
+
+LARGE_SKEW = [make_scheme("skew", 2, t=32), make_scheme("skew", 2, t=33)]
+
+
+def test_integer_moments_and_maximal_match_fraction_reference():
+    pinned = 0
+    for params in _all_kind_schemes() + Q4_DECK_SIZES + LARGE_SKEW:
+        n, q = params.n, params.q
+        e = FAMILIES[params.kind][1](*params.dims)  # |X| = q^e = (c b^n)^n
+        if e > 64:
+            # every k would cost the Fraction reference 30 s; keep the powers
+            # of c b^n = q^(e/n), where the MRD-like codes lie
+            # (|C'| = (c b^n)^(d_s - 1)), and the sizes a factor q above them
+            ks = sorted({j * e // n + d for j in range(n + 1) for d in (0, 1)})
+        else:
+            ks = range(e + 1)
+        realizable = []
+        for d_s in range(n + 3):
+            for k in ks:
+                if not 0 <= k <= e:
+                    continue
+                got = _outcome(maximal_distribution, params, d_s, q ** k)
+                assert got == _outcome(_fraction_maximal, params, d_s, q ** k), (params, d_s, k)
+                if not isinstance(got[0], type) and len(realizable) < 3:
+                    realizable.append((got[0], q ** k))
+                pinned += 1
+        inputs = [((1,) + (0,) * n, 1), (xi_vector(params), params.space_size), *realizable]
+        for dist, size in inputs:
+            tin = TransformInput(dist, size, params)
+            for phi in range(-1, n + 2):
+                for fn, ref in ((moment_b, _fraction_moment_b), (moment_binv, _fraction_moment_binv)):
+                    got = _outcome(fn, tin, phi)
+                    assert got == _outcome(ref, tin, phi), (params, dist, phi, fn.__name__)
+                    pinned += 1
+    _report("pin", f"{pinned} integer moment and maximal-code outcomes equal the Fraction forms")
 
 
 def test_criterion_07_named_codes():

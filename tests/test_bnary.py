@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk.bnary import as_int, beta, bpow, gamma, gauss, sigma
+from krawtchouk.bnary import as_int, beta, bpow, gamma, gamma_rows, gauss, gauss_rows, sigma
 
 from conftest import BASES
 
@@ -59,6 +59,48 @@ def test_as_int():
     assert as_int(Fraction(6, 2)) == 3
     with pytest.raises(ValueError):
         as_int(Fraction(1, 2))
+
+
+def test_integer_tables_match_rational_forms():
+    n = 7
+    for b in (1, 2, 3, 4, 9, -2, -3):
+        # c = 1/q when b = q^2 is the skew scheme with even t: c b^m is
+        # integral for m >= 1 only, and row 0 must not form c b^0
+        cs = (1, 2, -1, 3) + ((Fraction(1, 2),) if b == 4 else (Fraction(1, 3),) if b == 9 else ())
+        rows = gauss_rows(n, b)
+        assert [len(row) for row in rows] == list(range(1, n + 2))
+        for x, row in enumerate(rows):
+            assert row == [gauss(x, k, b) for k in range(x + 1)], (b, x)
+            assert all(type(v) is int for v in row)
+        for c in cs:
+            table = gamma_rows(n, b, c)
+            assert [len(row) for row in table] == list(range(1, n + 2))
+            for m, row in enumerate(table):
+                assert row == [gamma(m, u, b, c) for u in range(m + 1)], (b, c, m)
+                assert all(type(v) is int for v in row)
+    assert gauss_rows(0, 5) == gamma_rows(0, 5, Fraction(1, 5)) == [[1]]
+    assert gamma_rows(2, 4, Fraction(1, 2))[0] == [1]
+
+
+@pytest.mark.parametrize("b", [True, 2.0, Fraction(1, 2), 0, Fraction(0), "2"])
+def test_integer_tables_reject_bad_base(b):
+    with pytest.raises(ValueError):
+        gauss_rows(3, b)
+    with pytest.raises(ValueError):
+        gamma_rows(3, b, 1)
+
+
+def test_integer_tables_reject_bad_size_and_constant():
+    for n in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            gauss_rows(n, 2)
+        with pytest.raises(ValueError):
+            gamma_rows(n, 2, 1)
+    for c in (True, 0.5):
+        with pytest.raises(ValueError):
+            gamma_rows(3, 2, c)
+    with pytest.raises(ValueError):
+        gamma_rows(3, 3, Fraction(1, 2))  # c b = 3/2 is not an integer
 
 
 def _random_cases(count=250, seed=5):

@@ -1,10 +1,11 @@
 """Eigenvalue polynomials: both closed forms, recurrence, eigenmatrix."""
 import re
+from fractions import Fraction
 
 import pytest
 
 from krawtchouk import eigenvalues
-from krawtchouk.bnary import gamma, gauss
+from krawtchouk.bnary import gamma, gamma_rows, gauss
 from krawtchouk.eigenvalues import (
     c_poly,
     c_value,
@@ -55,6 +56,13 @@ def test_range_rejected():
         c_poly(3, 0, SKEW2)
     with pytest.raises(ValueError):
         delsarte_p(0, -1, SKEW2)
+    # indices are not coerced: a bool or float is rejected, not read as 0/1
+    for bad in (True, 1.0, Fraction(1)):
+        for form in (c_poly, delsarte_p):
+            with pytest.raises(ValueError, match="must be integers"):
+                form(bad, 1, HAM23)
+            with pytest.raises(ValueError, match="must be integers"):
+                form(1, bad, HAM23)
 
 
 def test_forms_agree_on_desk_schemes():
@@ -95,11 +103,12 @@ def test_eigenmatrix_involution_and_orthogonality():
 def test_eigenmatrix_check_rejects_corrupt_valency(monkeypatch):
     params = make_scheme("hamming", 3, n=4)
 
-    def corrupt_gamma(x, k, b, c):
-        value = gamma(x, k, b, c)
-        return value + 1 if (x, k) == (params.n, 2) else value
+    def corrupt_gamma_rows(n, b, c):
+        rows = gamma_rows(n, b, c)
+        rows[params.n][2] += 1
+        return rows
 
-    monkeypatch.setattr(eigenvalues, "gamma", corrupt_gamma)
+    monkeypatch.setattr(eigenvalues, "gamma_rows", corrupt_gamma_rows)
     eigenvalues._eigenmatrix_cached.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=re.escape("P·P = |X|·I")):

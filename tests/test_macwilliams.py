@@ -147,6 +147,16 @@ def test_moment_corollaries_below_dual_distance():
             ) / dual_size
 
 
+def test_moment_binv_top_order_on_even_t_skew():
+    # c = 1/2 here; phi = n reaches the i = n term, which needs gamma(0, 0) = 1
+    # without forming the non-integral c b^0
+    params = make_scheme("skew", 2, t=4)
+    for dist, expected in (((1, 0, 0), 0), ((1, 3, 0), 0), (xi_vector(params), 28)):
+        lhs, rhs = moment_binv(_tin(params, dist), params.n)
+        assert lhs == rhs == expected
+        assert type(lhs) is type(rhs) is Fraction
+
+
 def test_moment_bounds_checked():
     tin = _tin(HAM23, (1, 0, 3, 0))
     with pytest.raises(ValueError):

@@ -85,6 +85,9 @@ def test_xi_examples():
     assert xi_vector(make_scheme("hermitian", 2, t=2)) == [1, 5, 10]
     with pytest.raises(ValueError):
         xi(make_scheme("hamming", 2, n=3), 4)
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            xi(make_scheme("hamming", 2, n=3), bad)
 
 
 def test_xi_partitions_space_and_matches_valencies():
