@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .bnary import is_int
-from .eigenvalues import c_poly, check_recurrence, eigenmatrix
+from .bnary import gamma, gauss, is_int
+from .eigenvalues import check_recurrence, eigenmatrix
 from .macwilliams import (
     TransformInput,
     UnrealizableDistribution,
@@ -24,19 +23,16 @@ from .macwilliams import (
     transform_eigen,
     transform_functional,
 )
-from .oracle import (
-    SPACE_GUARD,
-    char_eigenvalue,
-    dual_code,
-    random_code,
-    space_for,
-    verify_scheme_axioms,
-    weight_distribution,
-)
 from .schemes import scheme_from_json, scheme_to_json, xi_vector
 
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
+
+# Only `verify` needs the brute-force oracle (and with it `fields` and
+# `random`), so those are imported inside cmd_verify and its suites; the
+# algebra commands start without them.  A function-level import reads the
+# oracle module's attribute at call time, so perfbench's tracer, which
+# rebinds those attributes, still counts every oracle call.
 
 # Size budget for every command: the eigenmatrix alone is (n+1)^2 integers
 # of up to about log2|X| bits, so larger schemes fail fast with exit 2.
@@ -85,7 +81,10 @@ def _parse_weights(text: str, n: int):
 def cmd_scheme_info(args):
     params = _parse_scheme(args.scheme_json)
     vec = xi_vector(params)
-    valencies = [c_poly(w, 0, params) for w in range(params.n + 1)]
+    # The closed form C_w(0, n) keeps only its j = 0 term, [n, w]_b gamma(n, w):
+    # a rational reference for the integer table row that xi_vector reads.
+    n, b, c = params.n, params.b, params.c
+    valencies = [gauss(n, w, b) * gamma(n, w, b, c) for w in range(n + 1)]
     return {
         "kind": params.kind,
         "q": params.q,
@@ -160,16 +159,22 @@ def cmd_maximal(args):
 
 
 def _suite_axioms(params, trials, rng):
+    from .oracle import verify_scheme_axioms
+
     report = verify_scheme_axioms(params, seed=rng.randrange(1 << 30))
     return {"ok": report["ok"], "violations": report["violations"]}
 
 
 def _suite_eigen(params, trials, rng):
+    """The character sums against the matrix `scheme eigenmatrix` prints."""
+    from .oracle import char_eigenvalue
+
+    entries = eigenmatrix(params).entries
     mismatches = []
     for k in range(params.n + 1):
         for x in range(params.n + 1):
             cs = char_eigenvalue(params, k, x)
-            cp = c_poly(k, x, params)
+            cp = entries[x][k]
             if cs != cp:
                 mismatches.append(f"(k={k}, x={x}): char {cs} != poly {cp}")
     return {"ok": not mismatches, "violations": mismatches}
@@ -181,6 +186,8 @@ def _suite_recurrence(params, trials, rng):
 
 
 def _suite_transform(params, trials, rng):
+    from .oracle import dual_code, random_code, weight_distribution
+
     failures = []
     for trial in range(trials):
         code = random_code(params, rng)
@@ -198,6 +205,8 @@ def _suite_transform(params, trials, rng):
 
 
 def _suite_moments(params, trials, rng):
+    from .oracle import random_code, weight_distribution
+
     failures = []
     for trial in range(trials):
         code = random_code(params, rng)
@@ -221,12 +230,18 @@ _SUITES = {
 
 
 def _suite_applicable(name, params):
+    from .oracle import SPACE_GUARD
+
     if name in ("axioms", "eigen") and params.space_size > SPACE_GUARD:
         return f"space size {params.space_size} exceeds the {SPACE_GUARD} guard"
     return None
 
 
 def cmd_verify(args):
+    import random
+
+    from .oracle import space_for
+
     params = _parse_scheme(args.scheme_json)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")

@@ -10,27 +10,21 @@ valencies by the defining recurrence and checked against P P = |X| I.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .bnary import as_int, bpow, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """Parameters (b, c, n, |X|) of one concrete Krawtchouk association scheme.
 
     kind is one of "hamming", "bilinear", "gabidulin", "skew", "hermitian";
-    dims holds the kind-specific raw integers ((n,), (m, n) or (t,)).
+    dims holds the kind-specific raw integers ((n,), (m, n) or (t,)); b and
+    c are Fractions, q, n and space_size ints.
     """
 
-    kind: str
-    q: int
-    dims: tuple
-    b: Fraction
-    c: Fraction
-    n: int
-    space_size: int
+    __slots__ = ("kind", "q", "dims", "b", "c", "n", "space_size")
 
     def cbn(self) -> Fraction:
         """The recurring quantity c * b^n."""
@@ -88,12 +82,10 @@ def delsarte_p(k: int, x: int, params: SchemeParams) -> Fraction:
     return delsarte_value(k, x, params.n, params.b, params.c)
 
 
-@dataclass(frozen=True)
-class Eigenmatrix:
+class Eigenmatrix(Record):
     """Integer eigenmatrix P with entries[i][k] = P_k(i, n); here P = Q."""
 
-    entries: tuple
-    params: SchemeParams
+    __slots__ = ("entries", "params")
 
 
 def eigenmatrix(params: SchemeParams) -> Eigenmatrix:

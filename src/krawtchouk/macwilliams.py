@@ -12,9 +12,9 @@ returned as Fractions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .bnary import as_int, bpow, gamma_rows, gauss, gauss_rows, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix
 
@@ -23,34 +23,33 @@ class UnrealizableDistribution(ValueError):
     """The transform produced a non-integer or negative dual count."""
 
 
-@dataclass(frozen=True)
-class TransformInput:
-    """A weight distribution attached to a code size within one scheme."""
+class TransformInput(Record):
+    """A weight distribution attached to a code size within one scheme.
 
-    dist: tuple
-    code_size: int
-    params: SchemeParams
+    dist is stored as a tuple of nonnegative ints summing to code_size, and
+    code_size must divide |X|; anything else raises ValueError.
+    """
 
-    def __post_init__(self):
-        n = self.params.n
-        dist = tuple(self.dist)
-        object.__setattr__(self, "dist", dist)
+    __slots__ = ("dist", "code_size", "params")
+
+    def __init__(self, dist, code_size, params):
+        n = params.n
+        dist = tuple(dist)
         if len(dist) != n + 1:
             raise ValueError(f"distribution must have {n + 1} entries")
         if not all(is_int(v) for v in dist):
             raise ValueError("distribution entries must be integers")
         if any(v < 0 for v in dist):
             raise ValueError("distribution entries must be nonnegative")
-        if not is_int(self.code_size):
-            raise ValueError(f"code size must be an integer, got {self.code_size!r}")
-        if self.code_size < 1:
+        if not is_int(code_size):
+            raise ValueError(f"code size must be an integer, got {code_size!r}")
+        if code_size < 1:
             raise ValueError("code size must be positive")
-        if sum(dist) != self.code_size:
-            raise ValueError(
-                f"distribution sums to {sum(dist)}, expected |C| = {self.code_size}"
-            )
-        if self.params.space_size % self.code_size:
+        if sum(dist) != code_size:
+            raise ValueError(f"distribution sums to {sum(dist)}, expected |C| = {code_size}")
+        if params.space_size % code_size:
             raise ValueError("code size must divide the space size")
+        self._fill(dist, code_size, params)
 
     def dual_size(self) -> int:
         return self.params.space_size // self.code_size

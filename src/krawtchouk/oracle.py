@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .bnary import is_int
 from .eigenvalues import SchemeParams
 from .fields import GF, MAX_ORDER, field, is_prime_power, matrix_rank, nullspace, row_reduce
@@ -263,19 +263,17 @@ def _space_cached(params: SchemeParams) -> SchemeSpace:
     return SchemeSpace(params)
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Record):
     """A linear code given by independent generators in coordinate form."""
 
-    params: SchemeParams
-    generators: tuple
+    __slots__ = ("params", "generators")
 
-    def __post_init__(self):
-        space = space_for(self.params)
-        gens = tuple(space.validate(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, params, generators):
+        space = space_for(params)
+        gens = tuple(space.validate(g) for g in generators)
         if gens and matrix_rank(list(gens), space.gf) != len(gens):
             raise ValueError("generators must be linearly independent")
+        self._fill(params, gens)
 
     @property
     def code_size(self) -> int:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .balgebra import ConstPoly, mu_family
 from .bnary import bpow, gamma_rows, gauss_rows, is_int
 from .eigenvalues import SchemeParams, c_value
 
@@ -116,6 +115,10 @@ def omega_enumerator(params: SchemeParams) -> ConstPoly:
     closed-form power of the fundamental polynomial evaluated at the class
     count, and sum to |X|.
     """
+    # the one user of the b-algebra here; importing it with the module would
+    # make every CLI process compile it
+    from .balgebra import ConstPoly, mu_family
+
     counts = xi_vector(params)
     mu_n = mu_family(params.n, params.b, params.c)
     for w, count in enumerate(counts):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import krawtchouk
-from krawtchouk import cli, schemes
+from krawtchouk import Eigenmatrix, cli, schemes
 from krawtchouk.cli import main
 
 from conftest import within_seconds
@@ -31,6 +31,20 @@ def test_scheme_info(capsys):
     assert obj["spaceSize"] == 64
     assert obj["xi"] == [1, 35, 28]
     assert obj["valencies_equal_xi"] is True
+
+
+def test_scheme_info_reports_a_wrong_weight_count(capsys, monkeypatch):
+    # the valency cross-check is independent of the integer table xi_vector reads
+    def off_by_one(params):
+        counts = schemes.xi_vector(params)
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "xi_vector", off_by_one)
+    code, out, _ = run_cli(capsys, "scheme", "info", "--scheme-json", '{"kind":"skew","q":2,"t":4}')
+    assert code == 0
+    assert '"valencies_equal_xi": false' in out
+    assert json.loads(out)["xi"] == [1, 36, 28]
 
 
 def test_scheme_info_hermitian(capsys):
@@ -183,6 +197,29 @@ def test_verify_eigen_suite(capsys):
     assert json.loads(out)["results"]["eigen"]["ok"] is True
 
 
+def test_verify_eigen_suite_checks_the_printed_matrix(capsys, monkeypatch):
+    params = schemes.make_scheme("hermitian", 2, t=2)
+    entries = [list(row) for row in cli.eigenmatrix(params).entries]
+    entries[1][2] += 1
+
+    def corrupt(p):
+        return Eigenmatrix(entries=tuple(map(tuple, entries)), params=p)
+
+    monkeypatch.setattr(cli, "eigenmatrix", corrupt)
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--scheme-json", '{"kind":"hermitian","q":2,"t":2}',
+        "--suite", "eigen",
+    )
+    assert code == 3
+    assert out == ""
+    report = json.loads(err.removeprefix("verification failed: "))
+    assert report["results"]["eigen"]["violations"] == [
+        f"(k=2, x=1): char {entries[1][2] - 1} != poly {entries[1][2]}"
+    ]
+
+
 def test_verify_eigen_suite_odd_characteristic(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -326,3 +363,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spaceSize"] == 8
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # -S keeps site's .pth imports out of sys.modules; only the package's own
+    # imports are counted
+    src = os.path.dirname(os.path.dirname(krawtchouk.__file__))
+    script = (
+        "import json, sys\n"
+        "import krawtchouk.cli\n"
+        "heavy = ('krawtchouk.oracle', 'krawtchouk.fields', 'krawtchouk.balgebra', 'dataclasses')\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "import krawtchouk\n"
+        "missing = [name for name in krawtchouk.__all__ if not hasattr(krawtchouk, name)]\n"
+        "print(json.dumps([loaded, missing]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
