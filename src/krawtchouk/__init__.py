@@ -1,9 +1,11 @@
 """Exact MacWilliams-identity machinery for Krawtchouk association schemes.
 
-All computation is exact rational arithmetic.  The algebraic side (b-nary
-combinatorics, eigenvalue polynomials, the homogeneous polynomial algebra,
-transforms and moments) is verified against a brute-force finite-field
-oracle on desk-scale schemes.
+Every result is an exact integer or rational.  The eigenmatrix, transforms,
+moments and maximal codes are summed in plain integers; the b-nary closed
+forms and the polynomial algebra that check them use exact rationals.  The
+algebraic side (b-nary combinatorics, eigenvalue polynomials, the
+homogeneous polynomial algebra, transforms and moments) is verified against
+a brute-force finite-field oracle on desk-scale schemes.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +18,7 @@ from .eigenvalues import (
     check_recurrence,
     delsarte_p,
     eigenmatrix,
+    hermitian_recurrence_equiv,
 )
 from .macwilliams import (
     TransformInput,
@@ -28,7 +31,6 @@ from .macwilliams import (
     transform_functional,
 )
 from .schemes import (
-    hermitian_recurrence_equiv,
     make_scheme,
     omega_enumerator,
     scheme_from_json,

@@ -12,12 +12,12 @@ from operator import attrgetter
 class Record:
     """A frozen record over the fields named in `__slots__`.
 
-    Built positionally or by keyword, compared and hashed by its field
-    values (records of different classes are never equal), printed as
-    Name(field=value, ...), and closed to assignment.  A subclass that
-    validates its input does so in its own `__init__` and then calls
-    `_fill`; copies and pickles are rebuilt through `__init__`,
-    so every way of building a record validates it.
+    Compared and hashed by its field values (records of different classes
+    are never equal), printed as Name(field=value, ...), and closed to
+    assignment.  Each subclass names its fields in its own `__init__`,
+    validates them there if it must, and then calls `_fill`; copies and
+    pickles are rebuilt through `__init__`, so every way of building a
+    record validates it.
     """
 
     __slots__ = ()
@@ -25,23 +25,8 @@ class Record:
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)  # the field tuple; records have >= 2 fields
 
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        cls = type(self).__name__
-        if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} fields, got {len(args)}")
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names or name in values:
-                raise TypeError(f"{cls}() got an unexpected or repeated field {name!r}")
-            values[name] = value
-        missing = [name for name in names if name not in values]
-        if missing:
-            raise TypeError(f"{cls}() missing fields {missing}")
-        self._fill(*[values[name] for name in names])
-
     def _fill(self, *values):
-        """Set every field, in `__slots__` order; for validated subclasses."""
+        """Set the fields in `__slots__` order; each `__init__` ends with this call."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

@@ -3,18 +3,16 @@
 A HomPoly of degree r represents sum_u a_u(lambda) Y^u X^(r-u) where each
 coefficient is a function of an integer parameter lambda.  The product below
 convolves coefficients with the second factor taken at shifted parameter
-lambda - i, which is why coefficients are kept as evaluable maps rather than
-stored vectors: closed-form families supply shifted values for free, and
-parameter-independent coefficient vectors satisfy the contract trivially.
-
-Coefficient maps must be pure; evaluations are memoised per (u, lambda),
-and because the maps are pure the memo writes are idempotent, so values
-stay safe to evaluate from concurrent readers.
+lambda - i, which is why a polynomial is a map lambda -> coefficient row,
+memoised one row per lambda, rather than one stored vector.  Each operation
+computes its lambda-free factors once, when it is built, and builds a row
+from its operands' rows.  Row maps must be pure, so the memo writes are
+idempotent and values stay safe to evaluate from concurrent readers.
 
 In production only schemes.omega_enumerator evaluates a HomPoly (mu_family
 at lambda = n, as its cross-check).  macwilliams.transform_functional sums
-the b-product at lambda = n directly in integers; the tests compare it with
-b_product here and check the algebra's identities.
+the b-product at lambda = n over bnary's integer tables; the tests compare
+it with b_product here, which uses the rational gauss, gamma and beta.
 """
 from __future__ import annotations
 
@@ -26,31 +24,35 @@ _ZERO = Fraction(0)
 
 
 class HomPoly:
-    """Immutable homogeneous polynomial with lambda-dependent coefficients."""
+    """Immutable homogeneous polynomial with lambda-dependent coefficients.
 
-    __slots__ = ("degree", "_fn", "_cache")
+    row_fn(lam) gives the degree + 1 coefficients at lam, by power of Y.
+    """
 
-    def __init__(self, degree: int, coeff_fn):
+    __slots__ = ("degree", "_row_fn", "_rows")
+
+    def __init__(self, degree: int, row_fn):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
-        self._fn = coeff_fn
-        self._cache = {}
+        self._row_fn = row_fn
+        self._rows = {}
 
     def coeff(self, u: int, lam: int) -> Fraction:
         """Coefficient of Y^u X^(degree-u) at parameter lam; 0 out of range."""
         if u < 0 or u > self.degree:
             return _ZERO
-        key = (u, lam)
-        v = self._cache.get(key)
-        if v is None:
-            v = Fraction(self._fn(u, lam))
-            self._cache[key] = v
-        return v
+        return self.coeffs_at(lam)[u]
 
     def coeffs_at(self, lam: int) -> tuple:
         """All coefficients (index 0..degree) evaluated at one parameter."""
-        return tuple(self.coeff(u, lam) for u in range(self.degree + 1))
+        row = self._rows.get(lam)
+        if row is None:
+            row = tuple(self._row_fn(lam))
+            if len(row) != self.degree + 1:
+                raise ValueError(f"row of {len(row)} coefficients for degree {self.degree}")
+            self._rows[lam] = row
+        return row
 
 
 class ConstPoly(HomPoly):
@@ -63,7 +65,7 @@ class ConstPoly(HomPoly):
         if not coeffs:
             raise ValueError("need at least the degree-0 coefficient")
         self.coeffs = coeffs
-        super().__init__(len(coeffs) - 1, lambda u, lam: coeffs[u])
+        super().__init__(len(coeffs) - 1, lambda lam: coeffs)
 
 
 def constant(value) -> ConstPoly:
@@ -83,18 +85,18 @@ def b_product(a: HomPoly, g: HomPoly, b) -> HomPoly:
     """
     b = Fraction(b)
     s = g.degree
+    powers = [bpow(b, i * s) for i in range(a.degree + 1)]
 
-    def fn(u, lam):
-        lo = max(0, u - s)
-        hi = min(u, a.degree)
-        total = _ZERO
-        for i in range(lo, hi + 1):
-            ai = a.coeff(i, lam)
+    def row(lam):
+        out = [_ZERO] * (a.degree + s + 1)
+        for i, ai in enumerate(a.coeffs_at(lam)):
             if ai:
-                total += bpow(b, i * s) * ai * g.coeff(u - i, lam - i)
-        return total
+                ai *= powers[i]
+                for j, gj in enumerate(g.coeffs_at(lam - i), i):
+                    out[j] += ai * gj
+        return out
 
-    return HomPoly(a.degree + g.degree, fn)
+    return HomPoly(a.degree + s, row)
 
 
 def b_power(a: HomPoly, k: int, b) -> HomPoly:
@@ -117,17 +119,12 @@ def poly_sum(polys) -> HomPoly:
     degree = polys[0].degree
     if any(p.degree != degree for p in polys):
         raise ValueError("summands must share one degree")
-    return HomPoly(degree, lambda u, lam: sum(p.coeff(u, lam) for p in polys))
+    return HomPoly(degree, lambda lam: map(sum, zip(*(p.coeffs_at(lam) for p in polys))))
 
 
 def scale(a: HomPoly, value) -> HomPoly:
     value = Fraction(value)
-    return HomPoly(a.degree, lambda u, lam: value * a.coeff(u, lam))
-
-
-def shift_param(a: HomPoly, d: int) -> HomPoly:
-    """The polynomial lambda -> a(X, Y; lambda + d)."""
-    return HomPoly(a.degree, lambda u, lam: a.coeff(u, lam + d))
+    return HomPoly(a.degree, lambda lam: [value * v for v in a.coeffs_at(lam)])
 
 
 def mu_family(k: int, b, c) -> HomPoly:
@@ -137,14 +134,15 @@ def mu_family(k: int, b, c) -> HomPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return HomPoly(k, lambda u, lam: gauss(k, u, b) * gamma(lam, u, b, c))
+    gausses = [gauss(k, u, b) for u in range(k + 1)]
+    return HomPoly(k, lambda lam: [g * gamma(lam, u, b, c) for u, g in enumerate(gausses)])
 
 
 def mu_linear(b, c) -> HomPoly:
     """The degree-1 polynomial X + (c*b^lambda - 1)Y itself."""
     b = Fraction(b)
     c = Fraction(c)
-    return HomPoly(1, lambda u, lam: Fraction(1) if u == 0 else c * bpow(b, lam) - 1)
+    return HomPoly(1, lambda lam: (Fraction(1), c * bpow(b, lam) - 1))
 
 
 def nu_family(k: int, b) -> ConstPoly:
@@ -161,16 +159,6 @@ def nu_family(k: int, b) -> ConstPoly:
 NU_LINEAR = ConstPoly((1, -1))
 
 
-def b_transform(a: ConstPoly, b) -> HomPoly:
-    """sum_i a_i Y^[i] * X^[r-i] with monomial powers taken in the algebra."""
-    r = a.degree
-    parts = []
-    for i, ai in enumerate(a.coeffs):
-        term = b_product(b_power(Y, i, b), b_power(X, r - i, b), b)
-        parts.append(scale(term, ai))
-    return poly_sum(parts)
-
-
 def b_derivative(f: HomPoly, phi: int, b) -> HomPoly:
     """phi-th derivative in X: coefficient i picks up beta_b(r-i, phi).
 
@@ -184,7 +172,8 @@ def b_derivative(f: HomPoly, phi: int, b) -> HomPoly:
     r = f.degree
     if phi > r:
         return ZERO
-    return HomPoly(r - phi, lambda i, lam: f.coeff(i, lam) * beta(r - i, phi, b))
+    factors = [beta(r - i, phi, b) for i in range(r - phi + 1)]
+    return HomPoly(r - phi, lambda lam: [v * w for v, w in zip(f.coeffs_at(lam), factors)])
 
 
 def binv_derivative(g: HomPoly, phi: int, b) -> HomPoly:
@@ -202,12 +191,8 @@ def binv_derivative(g: HomPoly, phi: int, b) -> HomPoly:
         return ZERO
     b = Fraction(b)
     sp = sigma(phi)
-
-    def fn(j, lam):
-        i = j + phi
-        return g.coeff(i, lam) * bpow(b, phi * (1 - i) + sp) * beta(i, phi, b)
-
-    return HomPoly(s - phi, fn)
+    factors = [bpow(b, phi * (1 - i) + sp) * beta(i, phi, b) for i in range(phi, s + 1)]
+    return HomPoly(s - phi, lambda lam: [v * w for v, w in zip(g.coeffs_at(lam)[phi:], factors)])
 
 
 def evaluate(f: HomPoly, x, y, lam: int) -> Fraction:
@@ -215,56 +200,7 @@ def evaluate(f: HomPoly, x, y, lam: int) -> Fraction:
     x = Fraction(x)
     y = Fraction(y)
     total = _ZERO
-    for u in range(f.degree + 1):
-        cu = f.coeff(u, lam)
+    for u, cu in enumerate(f.coeffs_at(lam)):
         if cu:
             total += cu * y ** u * x ** (f.degree - u)
     return total
-
-
-# The two sums below feed the parameter-shifted moment computations; they are
-# exposed for identity testing, not as general API.
-
-def delta_sum(lam: int, phi: int, j: int, b, c) -> Fraction:
-    """sum_i (-1)^i [j choose i]_b b^sigma(i) gamma(lam - i, phi)."""
-    b = Fraction(b)
-    total = _ZERO
-    for i in range(j + 1):
-        term = gauss(j, i, b) * bpow(b, sigma(i)) * gamma(lam - i, phi, b, c)
-        total += -term if i % 2 else term
-    return total
-
-
-def delta_closed(lam: int, phi: int, j: int, b, c) -> Fraction:
-    """prod_{i<j}(b^phi - b^i) * gamma(lam-j, phi-j) * (c b^(lam-j))^j."""
-    b = Fraction(b)
-    c = Fraction(c)
-    total = Fraction(1)
-    for i in range(j):
-        total *= bpow(b, phi) - b ** i
-    return total * gamma(lam - j, phi - j, b, c) * (c * bpow(b, lam - j)) ** j
-
-
-def epsilon_sum(big_lam: int, phi: int, i: int, b) -> Fraction:
-    """sum_l [i,l][Lam-i,phi-l] b^(l(Lam-phi)) (-1)^l b^sigma(l) prod(b^(phi-l)-b^j)."""
-    b = Fraction(b)
-    total = _ZERO
-    for ell in range(i + 1):
-        prod = Fraction(1)
-        for j in range(i - ell):
-            prod *= bpow(b, phi - ell) - b ** j
-        term = (
-            gauss(i, ell, b)
-            * gauss(big_lam - i, phi - ell, b)
-            * bpow(b, ell * (big_lam - phi) + sigma(ell))
-            * prod
-        )
-        total += -term if ell % 2 else term
-    return total
-
-
-def epsilon_closed(big_lam: int, phi: int, i: int, b) -> Fraction:
-    """(-1)^i b^sigma(i) [Lam - i choose Lam - phi]_b."""
-    b = Fraction(b)
-    value = bpow(b, sigma(i)) * gauss(big_lam - i, big_lam - phi, b)
-    return -value if i % 2 else value

@@ -6,6 +6,8 @@ generalised Krawtchouk sum P_k(x, n).  They are equal as functions but
 their individual terms cancel differently, so they serve as independent
 references.  The eigenmatrix uses neither: it is built in integers from the
 valencies by the defining recurrence and checked against P P = |X| I.
+check_recurrence and hermitian_recurrence_equiv hold C_k(x, n) to the same
+recurrence step.
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ class SchemeParams(Record):
     """
 
     __slots__ = ("kind", "q", "dims", "b", "c", "n", "space_size")
+
+    def __init__(self, kind, q, dims, b, c, n, space_size):
+        self._fill(kind, q, dims, b, c, n, space_size)
 
     def cbn(self) -> Fraction:
         """The recurring quantity c * b^n."""
@@ -87,6 +92,9 @@ class Eigenmatrix(Record):
 
     __slots__ = ("entries", "params")
 
+    def __init__(self, entries, params):
+        self._fill(entries, params)
+
 
 def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
     """Build the (n+1) x (n+1) eigenmatrix by the defining recurrence.
@@ -100,6 +108,11 @@ def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
     return _eigenmatrix_cached(params)
 
 
+def _step(row: list, b) -> list:
+    """C_.(x, n) -> C_.(x+1, n+1) by the defining recurrence; row[k] = C_k(x, n)."""
+    return row[:1] + [b ** k * row[k] - b ** (k - 1) * row[k - 1] for k in range(1, len(row))]
+
+
 @functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
 def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
     n, b = params.n, as_int(params.b)
@@ -109,10 +122,7 @@ def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
         m = n - x
         row = [g * h for g, h in zip(gauss_m[m], gamma_m[m])]
         for _ in range(x):
-            row.append(0)  # C_k(x, m) = 0 for k > m
-            row = row[:1] + [
-                b ** k * row[k] - b ** (k - 1) * row[k - 1] for k in range(1, len(row))
-            ]
+            row = _step(row + [0], b)  # C_k(x, m) = 0 for k > m
         rows.append(tuple(row))
     size = params.space_size
     cols = list(zip(*rows))
@@ -123,24 +133,52 @@ def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
     return Eigenmatrix(entries=tuple(rows), params=params)
 
 
+def _c_table(max_n: int, b, c) -> list:
+    """rows[n][x][k] = C_k(x, n) for x <= n <= max_n, k <= n + 1 (C_{n+1} evaluated, not 0)."""
+    return [
+        [[c_value(k, x, n, b, c) for k in range(n + 2)] for x in range(n + 1)]
+        for n in range(max_n + 1)
+    ]
+
+
+def _recurrence_sides(rows: list, b):
+    """(n, x, k, lhs, rhs) of the defining recurrence for 0 <= x, k <= n < len(rows) - 1."""
+    for n in range(len(rows) - 1):
+        for x in range(n + 1):
+            stepped = _step(rows[n][x], b)
+            for k in range(n + 1):
+                yield n, x, k, rows[n + 1][x + 1][k + 1], stepped[k + 1]
+
+
 def check_recurrence(params: SchemeParams, max_n: int) -> list:
     """Exhaustively check the defining recurrence with the scheme's (b, c).
 
     Verifies C_{k+1}(x+1, n+1) = b^{k+1} C_{k+1}(x, n) - b^k C_k(x, n) for
-    all 0 <= x, k <= n < max_n.  Returns the list of violations (expected
-    empty), each as a (n, x, k, lhs, rhs) tuple.
+    all 0 <= x, k <= n < max_n, evaluating each C_k(x, n) once.  Returns the
+    list of violations (expected empty), each as a (n, x, k, lhs, rhs) tuple.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    b, c = params.b, params.c
+    rows = _c_table(max_n, params.b, params.c)
+    return [v for v in _recurrence_sides(rows, params.b) if v[3] != v[4]]
+
+
+def hermitian_recurrence_equiv(q: int, t_max: int) -> list:
+    """Check the two Hermitian recurrences agree exactly, value for value.
+
+    For b = -q, c = -1 and all 0 <= x, k <= t < t_max this verifies both
+        C_{k+1}(x+1, t+1) = C_{k+1}(x, t+1) + b^(2t+1-x) C_k(x, t)
+        C_{k+1}(x+1, t+1) = b^(k+1) C_{k+1}(x, t) - b^k C_k(x, t)
+    and that the two right-hand sides match term for term.  Returns the
+    violation list (expected empty).
+    """
+    if t_max < 2:
+        raise ValueError("t_max must be >= 2")
+    b = Fraction(-q)
+    rows = _c_table(t_max, b, Fraction(-1))
     violations = []
-    for n in range(max_n):
-        for x in range(n + 1):
-            for k in range(n + 1):
-                lhs = c_value(k + 1, x + 1, n + 1, b, c)
-                rhs = bpow(b, k + 1) * c_value(k + 1, x, n, b, c) - bpow(
-                    b, k
-                ) * c_value(k, x, n, b, c)
-                if lhs != rhs:
-                    violations.append((n, x, k, lhs, rhs))
+    for t, x, k, lhs, delsarte in _recurrence_sides(rows, b):
+        schmidt = rows[t + 1][x][k + 1] + bpow(b, 2 * t + 1 - x) * rows[t][x][k]
+        if not (lhs == schmidt == delsarte):
+            violations.append((t, x, k, lhs, schmidt, delsarte))
     return violations

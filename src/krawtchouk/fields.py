@@ -174,10 +174,6 @@ class GF:
             raise ArithmeticError("trace left the prime field")
         return total
 
-    def subfield_elements(self, sub_order: int) -> list:
-        """Elements fixed by a -> a^sub_order, i.e. the copy of GF(sub_order)."""
-        return [a for a in range(self.order) if self.pow(a, sub_order) == a]
-
 
 _FIELD_CACHE = {}
 

@@ -217,18 +217,8 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     return out
 
 
-def forward_triangular(y, b) -> list:
-    """x_j = sum_{i<=j} [l-i choose l-j] y_i for l = len(y) - 1."""
-    y = [Fraction(v) for v in y]
-    ell = len(y) - 1
-    return [
-        sum((gauss(ell - i, ell - j, b) * y[i] for i in range(j + 1)), Fraction(0))
-        for j in range(ell + 1)
-    ]
-
-
 def invert_triangular(x, b) -> list:
-    """Inverse of forward_triangular:
+    """Inverse of the map x_j = sum_{i<=j} [l-i choose l-j] y_i, l = len(x) - 1:
 
     y_i = sum_{j<=i} (-1)^(i-j) b^sigma(i-j) [l-j choose l-i] x_j.
     """

@@ -22,10 +22,11 @@ import random
 from ._record import Record
 from .bnary import is_int
 from .eigenvalues import SchemeParams
-from .fields import GF, MAX_ORDER, field, is_prime_power, matrix_rank, nullspace, row_reduce
+from .fields import MAX_ORDER, field, is_prime_power, matrix_rank, nullspace
 
 ENUM_GUARD = 1 << 20
 SPACE_GUARD = 1 << 12
+AXIOM_SAMPLES = 4  # pairs (0, y) spread over each relation in verify_scheme_axioms
 
 
 @functools.lru_cache(maxsize=16)
@@ -358,7 +359,7 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
     return sums[0]
 
 
-def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) -> dict:
+def verify_scheme_axioms(params: SchemeParams, seed: int = 0) -> dict:
     """Check the association scheme axioms on the full space.
 
     Builds the relations R_i = {(x, y) : weight(x - y) = i} and checks that
@@ -390,7 +391,7 @@ def verify_scheme_axioms(params: SchemeParams, samples: int = 4, seed: int = 0) 
         if not buckets[kk]:
             violations.append(f"empty relation at distance {kk}")
             continue
-        pairs = [(space.zero, y) for y in _spread(buckets[kk], samples)]
+        pairs = [(space.zero, y) for y in _spread(buckets[kk], AXIOM_SAMPLES)]
         for _ in range(2):
             z = rng.choice(elements)
             y = rng.choice(buckets[kk])
@@ -425,39 +426,13 @@ def _spread(seq, count):
     return list(seq[::step][:count])
 
 
-def random_code(params: SchemeParams, rng, dim: int = None) -> CodeSpec:
-    """A uniformly drawn linear code of the given (or random) dimension."""
+def random_code(params: SchemeParams, rng) -> CodeSpec:
+    """A uniformly drawn linear code of a uniformly drawn dimension."""
     space = space_for(params)
-    if dim is None:
-        dim = rng.randint(0, space.dim)
-    if not 0 <= dim <= space.dim:
-        raise ValueError(f"dim must lie in 0..{space.dim}")
+    dim = rng.randint(0, space.dim)
     gens = []
     while len(gens) < dim:
         cand = tuple(rng.randrange(space.gf.order) for _ in range(space.dim))
         if matrix_rank(gens + [cand], space.gf) > len(gens):
             gens.append(cand)
     return CodeSpec(params=params, generators=tuple(gens))
-
-
-def reduced_generators(code: CodeSpec) -> tuple:
-    """Canonical RREF generator set, for span-equality comparisons."""
-    space = space_for(code.params)
-    rows, _ = row_reduce(list(code.generators), space.gf)
-    return tuple(tuple(r) for r in rows)
-
-
-def code_to_json(code: CodeSpec) -> dict:
-    from .schemes import scheme_to_json
-
-    return {
-        "scheme": scheme_to_json(code.params),
-        "generators": [list(g) for g in code.generators],
-    }
-
-
-def code_from_json(obj: dict) -> CodeSpec:
-    from .schemes import scheme_from_json
-
-    params = scheme_from_json(obj["scheme"])
-    return CodeSpec(params=params, generators=tuple(tuple(g) for g in obj["generators"]))

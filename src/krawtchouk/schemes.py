@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnary import bpow, gamma_rows, gauss_rows, is_int
-from .eigenvalues import SchemeParams, c_value
+from .bnary import gamma_rows, gauss_rows, is_int
+from .eigenvalues import SchemeParams
 
 
 def _hamming(q, n):
@@ -143,32 +143,3 @@ def scheme_from_json(obj: dict) -> SchemeParams:
         raise ValueError("scheme spec needs 'kind' and 'q'")
     dims = {k: v for k, v in obj.items() if k not in ("kind", "q")}
     return make_scheme(str(obj["kind"]), obj["q"], **dims)
-
-
-def hermitian_recurrence_equiv(q: int, t_max: int) -> list:
-    """Check the two Hermitian recurrences agree exactly, value for value.
-
-    For b = -q, c = -1 and all 0 <= x, k <= t < t_max this verifies both
-        C_{k+1}(x+1, t+1) = C_{k+1}(x, t+1) + b^(2t+1-x) C_k(x, t)
-        C_{k+1}(x+1, t+1) = b^(k+1) C_{k+1}(x, t) - b^k C_k(x, t)
-    and that the two right-hand sides match term for term.  Returns the
-    violation list (expected empty).
-    """
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
-    b = Fraction(-q)
-    c = Fraction(-1)
-    violations = []
-    for t in range(t_max):
-        for x in range(t + 1):
-            for k in range(t + 1):
-                lhs = c_value(k + 1, x + 1, t + 1, b, c)
-                schmidt = c_value(k + 1, x, t + 1, b, c) + bpow(
-                    b, 2 * t + 1 - x
-                ) * c_value(k, x, t, b, c)
-                delsarte = bpow(b, k + 1) * c_value(k + 1, x, t, b, c) - bpow(
-                    b, k
-                ) * c_value(k, x, t, b, c)
-                if not (lhs == schmidt == delsarte):
-                    violations.append((t, x, k, lhs, schmidt, delsarte))
-    return violations

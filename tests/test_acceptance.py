@@ -18,24 +18,24 @@ from krawtchouk.balgebra import (
     b_power,
     b_product,
     binv_derivative,
-    delta_closed,
-    delta_sum,
-    epsilon_closed,
-    epsilon_sum,
     evaluate,
     mu_family,
     mu_linear,
     nu_family,
     poly_sum,
     scale,
-    shift_param,
 )
 from krawtchouk.bnary import beta, bpow, gamma, gauss, is_int, sigma
-from krawtchouk.eigenvalues import c_poly, check_recurrence, delsarte_p, eigenmatrix
+from krawtchouk.eigenvalues import (
+    c_poly,
+    check_recurrence,
+    delsarte_p,
+    eigenmatrix,
+    hermitian_recurrence_equiv,
+)
 from krawtchouk.macwilliams import (
     TransformInput,
     UnrealizableDistribution,
-    forward_triangular,
     invert_triangular,
     maximal_distribution,
     moment_b,
@@ -52,9 +52,20 @@ from krawtchouk.oracle import (
     verify_scheme_axioms,
     weight_distribution,
 )
-from krawtchouk.schemes import FAMILIES, hermitian_recurrence_equiv, make_scheme, xi_vector
+from krawtchouk.schemes import FAMILIES, make_scheme, xi_vector
 
-from conftest import BASES, desk_schemes, polys_equal, rand_const_poly
+from conftest import (
+    BASES,
+    delta_closed,
+    delta_sum,
+    desk_schemes,
+    epsilon_closed,
+    epsilon_sum,
+    forward_triangular,
+    polys_equal,
+    rand_const_poly,
+    shift_param,
+)
 
 
 def _report(number, text):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from krawtchouk import balgebra
 from krawtchouk.balgebra import (
     NU_LINEAR,
     ONE,
@@ -15,26 +16,39 @@ from krawtchouk.balgebra import (
     b_derivative,
     b_power,
     b_product,
-    b_transform,
     binv_derivative,
     constant,
-    delta_closed,
-    delta_sum,
-    epsilon_closed,
-    epsilon_sum,
     evaluate,
     mu_family,
     mu_linear,
     nu_family,
     poly_sum,
     scale,
-    shift_param,
 )
 from krawtchouk.bnary import beta, bpow, gamma, gauss, sigma
 
-from conftest import BASES, polys_equal, rand_const_poly
+from conftest import (
+    BASES,
+    delta_closed,
+    delta_sum,
+    epsilon_closed,
+    epsilon_sum,
+    polys_equal,
+    rand_const_poly,
+    shift_param,
+)
 
 LAMS = range(-2, 7)
+
+
+def b_transform(a: ConstPoly, b) -> HomPoly:
+    """sum_i a_i Y^[i] * X^[r-i] with monomial powers taken in the algebra."""
+    r = a.degree
+    parts = []
+    for i, ai in enumerate(a.coeffs):
+        term = b_product(b_power(Y, i, b), b_power(X, r - i, b), b)
+        parts.append(scale(term, ai))
+    return poly_sum(parts)
 
 
 def test_scalar_product_commutes():
@@ -184,9 +198,9 @@ def test_derivative_closed_forms():
                 factor = bpow(b, -sigma(phi)) * beta(k, phi, b)
                 want = HomPoly(
                     k - phi,
-                    lambda u, lam, shifted=shifted, factor=factor, phi=phi: factor
-                    * gamma(lam, phi, b, c)
-                    * shifted.coeff(u, lam),
+                    lambda lam, shifted=shifted, factor=factor, phi=phi: [
+                        factor * gamma(lam, phi, b, c) * v for v in shifted.coeffs_at(lam)
+                    ],
                 )
                 assert polys_equal(got, want, range(0, 7))
 
@@ -306,13 +320,36 @@ def test_epsilon_lemma():
 def test_coefficients_memoised_and_pure():
     calls = []
 
-    def fn(u, lam):
-        calls.append((u, lam))
-        return Fraction(u + lam)
+    def row(lam):
+        calls.append(lam)
+        return [Fraction(u + lam) for u in range(3)]
 
-    p = HomPoly(2, fn)
+    p = HomPoly(2, row)
     assert p.coeff(1, 4) == 5
     assert p.coeff(1, 4) == 5
-    assert calls.count((1, 4)) == 1
-    assert p.coeff(9, 0) == 0  # out of range without calling fn
-    assert (9, 0) not in calls
+    assert p.coeff(2, 4) == 6
+    assert p.coeffs_at(4) == (4, 5, 6)
+    assert calls.count(4) == 1  # one row per lambda, whichever entry is read
+    assert p.coeff(9, 0) == 0  # out of range without calling the row map
+    assert p.coeff(-1, 0) == 0
+    assert 0 not in calls
+    with pytest.raises(ValueError):
+        HomPoly(2, lambda lam: [Fraction(1)] * 2).coeffs_at(0)
+
+
+def test_mu_family_computes_its_gaussian_row_once(monkeypatch):
+    calls = []
+
+    def counted(x, k, b):
+        calls.append((x, k))
+        return gauss(x, k, b)
+
+    monkeypatch.setattr(balgebra, "gauss", counted)
+    for k in range(6):
+        calls.clear()
+        mu = mu_family(k, 2, 3)
+        rows = [mu.coeffs_at(lam) for lam in LAMS]
+        assert len(calls) == k + 1
+        assert rows == [
+            tuple(gauss(k, u, 2) * gamma(lam, u, 2, 3) for u in range(k + 1)) for lam in LAMS
+        ]

@@ -1,5 +1,6 @@
 """Eigenvalue polynomials: both closed forms, recurrence, eigenmatrix."""
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from krawtchouk.eigenvalues import (
     delsarte_p,
     delsarte_value,
     eigenmatrix,
+    hermitian_recurrence_equiv,
 )
 from krawtchouk.schemes import make_scheme, xi_vector
 
@@ -128,6 +130,37 @@ def test_check_recurrence_examples():
 def test_check_recurrence_rejects_bad_bound():
     with pytest.raises(ValueError):
         check_recurrence(SKEW2, 0)
+
+
+def test_check_recurrence_evaluates_each_closed_form_once(monkeypatch):
+    seen = Counter()
+
+    def counted(k, x, n, b, c):
+        seen[k, x, n] += 1
+        return c_value(k, x, n, b, c)
+
+    monkeypatch.setattr(eigenvalues, "c_value", counted)
+    assert check_recurrence(make_scheme("skew", 2, t=5), 6) == []
+    assert max(seen.values()) == 1
+    # C_{n+1}(x, n) is evaluated, not assumed to vanish
+    assert all((n + 1, x, n) in seen for n in range(6) for x in range(n + 1))
+
+
+def test_one_corrupt_closed_form_is_reported_where_it_enters(monkeypatch):
+    def corrupt(k, x, n, b, c):
+        value = c_value(k, x, n, b, c)
+        return value + 1 if (k, x, n) == (2, 1, 3) else value
+
+    monkeypatch.setattr(eigenvalues, "c_value", corrupt)
+    # C_2(1, 3) is the left side at (n, x, k) = (2, 0, 1) and enters the
+    # right side at (3, 1, 1) and (3, 1, 2); the Schmidt form also reads it
+    # at (2, 1, 1)
+    found = check_recurrence(make_scheme("hermitian", 2, t=4), 5)
+    assert [v[:3] for v in found] == [(2, 0, 1), (3, 1, 1), (3, 1, 2)]
+    assert all(lhs != rhs for *_, lhs, rhs in found)
+    found = hermitian_recurrence_equiv(2, 5)
+    assert [v[:3] for v in found] == [(2, 0, 1), (2, 1, 1), (3, 1, 1), (3, 1, 2)]
+    assert all(not (lhs == schmidt == delsarte) for *_, lhs, schmidt, delsarte in found)
 
 
 def test_recurrence_detects_wrong_base():

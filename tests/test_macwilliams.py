@@ -8,7 +8,6 @@ from krawtchouk.bnary import gamma, gauss
 from krawtchouk.macwilliams import (
     TransformInput,
     UnrealizableDistribution,
-    forward_triangular,
     invert_triangular,
     maximal_distribution,
     moment_b,
@@ -18,7 +17,7 @@ from krawtchouk.macwilliams import (
 )
 from krawtchouk.schemes import make_scheme, xi_vector
 
-from conftest import desk_schemes
+from conftest import desk_schemes, forward_triangular
 
 HAM23 = make_scheme("hamming", 2, n=3)
 HAM27 = make_scheme("hamming", 2, n=7)

@@ -6,24 +6,21 @@ import pytest
 
 from krawtchouk import oracle
 from krawtchouk.eigenvalues import c_poly
-from krawtchouk.fields import GF
+from krawtchouk.fields import GF, row_reduce
 from krawtchouk.macwilliams import TransformInput, transform_eigen, transform_functional
 from krawtchouk.oracle import (
     SPACE_GUARD,
     CodeSpec,
     SchemeSpace,
     char_eigenvalue,
-    code_from_json,
-    code_to_json,
     dual_code,
     enumerate_code,
     random_code,
-    reduced_generators,
     space_for,
     verify_scheme_axioms,
     weight_distribution,
 )
-from krawtchouk.schemes import KINDS, make_scheme, xi_vector
+from krawtchouk.schemes import KINDS, make_scheme, scheme_from_json, scheme_to_json, xi_vector
 
 from conftest import desk_schemes, within_seconds
 
@@ -39,6 +36,25 @@ HAMMING_74_GENS = (
     (0, 0, 1, 0, 1, 1, 0),
     (0, 0, 0, 1, 1, 1, 1),
 )
+
+
+def reduced_generators(code: CodeSpec) -> tuple:
+    """Canonical RREF generator set, for span-equality comparisons."""
+    space = space_for(code.params)
+    rows, _ = row_reduce(list(code.generators), space.gf)
+    return tuple(tuple(r) for r in rows)
+
+
+def code_to_json(code: CodeSpec) -> dict:
+    return {
+        "scheme": scheme_to_json(code.params),
+        "generators": [list(g) for g in code.generators],
+    }
+
+
+def code_from_json(obj: dict) -> CodeSpec:
+    params = scheme_from_json(obj["scheme"])
+    return CodeSpec(params=params, generators=tuple(tuple(g) for g in obj["generators"]))
 
 
 def full_space_code(params):

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk.eigenvalues import c_poly
+from krawtchouk.eigenvalues import c_poly, hermitian_recurrence_equiv
 from krawtchouk.schemes import (
     FAMILIES,
     KINDS,
-    hermitian_recurrence_equiv,
     make_scheme,
     omega_enumerator,
     scheme_from_json,
