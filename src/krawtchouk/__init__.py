@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bnary import beta, gamma, gauss, sigma
 from .eigenvalues import (
-    Eigenmatrix,
     SchemeParams,
     c_poly,
     check_recurrence,
@@ -40,7 +39,6 @@ from .schemes import (
 )
 
 __all__ = [
-    "Eigenmatrix",
     "SchemeParams",
     "TransformInput",
     "UnrealizableDistribution",

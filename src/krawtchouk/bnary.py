@@ -6,8 +6,9 @@ take any rational base and compute with exact rationals; the base b = 1 is a
 special branch wherever the generic product would divide by zero: Gaussian
 coefficients degenerate to binomial coefficients and the beta product to the
 falling factorial.  gauss_rows and gamma_rows build whole tables in plain
-integers for an integral base, the case of every scheme family; the
-rational functions are their references.
+integers for a nonzero int base, the case of every scheme family; the
+rational functions are their references.  The library reads the tables
+through one bounded per-scheme cache, eigenvalues.tables.
 """
 from __future__ import annotations
 
@@ -91,28 +92,22 @@ def gamma(x: int, k: int, b, c) -> Fraction:
     return total
 
 
-def _table_base(n, b) -> int:
-    """Check a table's size n and base b; returns b as an int.
-
-    Rejects a bool, float, non-integral or zero base with ValueError.
-    """
+def _check_table(n, b) -> None:
+    """Reject a table size n that is not an int >= 0 and a base b that is not a nonzero int."""
     if not is_int(n) or n < 0:
         raise ValueError(f"table size n must be an integer >= 0, got {n!r}")
-    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
-        raise ValueError(f"the base b must be an int or Fraction, got {b!r}")
-    if b == 0 or b.denominator != 1:
-        raise ValueError(f"the base b must be a nonzero integer, got {b}")
-    return int(b)
+    if not is_int(b) or b == 0:
+        raise ValueError(f"the base b must be a nonzero integer, got {b!r}")
 
 
-def gauss_rows(n: int, b) -> list:
+def gauss_rows(n: int, b: int) -> list:
     """Integer table rows[x][k] = [x, k]_b for 0 <= k <= x <= n.
 
     Built by the q-Pascal rule [x, k] = [x-1, k-1] + b^k [x-1, k], a
-    polynomial identity in b, so every nonzero integral base works: b = 1
+    polynomial identity in b, so every nonzero int base works: b = 1
     gives Pascal's triangle, and negative bases need no special case.
     """
-    b = _table_base(n, b)
+    _check_table(n, b)
     pows = [b ** k for k in range(n + 1)]
     rows = [[1]]
     for x in range(1, n + 1):
@@ -121,7 +116,7 @@ def gauss_rows(n: int, b) -> list:
     return rows
 
 
-def gamma_rows(n: int, b, c) -> list:
+def gamma_rows(n: int, b: int, c) -> list:
     """Integer table rows[m][u] = gamma(m, u) for 0 <= u <= m <= n.
 
     Row m holds the running products of c b^m - b^l for l < u.  c b^m must
@@ -129,7 +124,7 @@ def gamma_rows(n: int, b, c) -> list:
     skew schemes with even t have c = 1/q, and row 0 is the empty product 1
     without forming c b^0.
     """
-    b = _table_base(n, b)
+    _check_table(n, b)
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise ValueError(f"the constant c must be an int or Fraction, got {c!r}")
     pows = [b ** ell for ell in range(n)]

@@ -23,7 +23,7 @@ from .macwilliams import (
     transform_eigen,
     transform_functional,
 )
-from .schemes import scheme_from_json, scheme_to_json, xi_vector
+from .schemes import scheme_from_json, xi_vector
 
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
@@ -99,7 +99,7 @@ def cmd_scheme_info(args):
 
 def cmd_scheme_eigenmatrix(args):
     params = _parse_scheme(args.scheme_json)
-    mat = eigenmatrix(params).entries  # raises unless P P = |X| I
+    mat = eigenmatrix(params)  # raises unless P P = |X| I
     return {
         "kind": params.kind,
         "n": params.n,
@@ -169,7 +169,7 @@ def _suite_eigen(params, trials, rng):
     """The character sums against the matrix `scheme eigenmatrix` prints."""
     from .oracle import char_eigenvalue
 
-    entries = eigenmatrix(params).entries
+    entries = eigenmatrix(params)
     mismatches = []
     for k in range(params.n + 1):
         for x in range(params.n + 1):
@@ -341,8 +341,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     text = json.dumps(result, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"invalid input: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         print(text)
     return 0

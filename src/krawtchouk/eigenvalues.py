@@ -6,8 +6,9 @@ generalised Krawtchouk sum P_k(x, n).  They are equal as functions but
 their individual terms cancel differently, so they serve as independent
 references.  The eigenmatrix uses neither: it is built in integers from the
 valencies by the defining recurrence and checked against P P = |X| I.
-check_recurrence and hermitian_recurrence_equiv hold C_k(x, n) to the same
-recurrence step.
+The library's integer sums read each scheme's Gaussian and gamma tables
+from tables(params).  check_recurrence and hermitian_recurrence_equiv hold
+C_k(x, n) to the same recurrence step.
 """
 from __future__ import annotations
 
@@ -15,15 +16,15 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import as_int, bpow, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
+from .bnary import bpow, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
 
 
 class SchemeParams(Record):
     """Parameters (b, c, n, |X|) of one concrete Krawtchouk association scheme.
 
     kind is one of "hamming", "bilinear", "gabidulin", "skew", "hermitian";
-    dims holds the kind-specific raw integers ((n,), (m, n) or (t,)); b and
-    c are Fractions, q, n and space_size ints.
+    dims holds the kind-specific raw integers ((n,), (m, n) or (t,)); b is
+    an int (1, q, q^2 or -q), c a Fraction, and q, n and space_size ints.
     """
 
     __slots__ = ("kind", "q", "dims", "b", "c", "n", "space_size")
@@ -32,8 +33,8 @@ class SchemeParams(Record):
         self._fill(kind, q, dims, b, c, n, space_size)
 
     def cbn(self) -> Fraction:
-        """The recurring quantity c * b^n."""
-        return self.c * bpow(self.b, self.n)
+        """The recurring quantity c * b^n, a Fraction."""
+        return self.c * self.b ** self.n
 
 
 def c_value(k: int, x: int, n: int, b, c) -> Fraction:
@@ -87,25 +88,26 @@ def delsarte_p(k: int, x: int, params: SchemeParams) -> Fraction:
     return delsarte_value(k, x, params.n, params.b, params.c)
 
 
-class Eigenmatrix(Record):
-    """Integer eigenmatrix P with entries[i][k] = P_k(i, n); here P = Q."""
-
-    __slots__ = ("entries", "params")
-
-    def __init__(self, entries, params):
-        self._fill(entries, params)
-
-
-def eigenmatrix(params: SchemeParams) -> Eigenmatrix:
-    """Build the (n+1) x (n+1) eigenmatrix by the defining recurrence.
+def eigenmatrix(params: SchemeParams) -> tuple:
+    """The (n+1) x (n+1) eigenmatrix as a tuple of rows, row i = (P_k(i, n))_k.
 
     Row x is the valency row of the scheme with n - x classes, carried up
     x times by C_{k+1}(x+1, n+1) = b^{k+1} C_{k+1}(x, n) - b^k C_k(x, n).
-    The result must satisfy P P = |X| I; a failure signals an arithmetic
-    bug rather than bad input, hence ArithmeticError.  Matrices are
-    immutable and cached per parameter set.
+    The result must satisfy P P = |X| I (here P = Q); a failure signals an
+    arithmetic bug rather than bad input, hence ArithmeticError.  Matrices
+    are immutable and cached per parameter set.
     """
     return _eigenmatrix_cached(params)
+
+
+@functools.lru_cache(maxsize=16)  # bounded, like the eigenmatrix cache
+def tables(params: SchemeParams) -> tuple:
+    """The integer tables ([x, k]_b, gamma(m, u)) for x, m <= n, built once per scheme.
+
+    Every caller shares them, so they are tuples of tuples, read and never changed.
+    """
+    n, b = params.n, params.b
+    return tuple(map(tuple, gauss_rows(n, b))), tuple(map(tuple, gamma_rows(n, b, params.c)))
 
 
 def _step(row: list, b) -> list:
@@ -114,9 +116,9 @@ def _step(row: list, b) -> list:
 
 
 @functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
-def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
-    n, b = params.n, as_int(params.b)
-    gauss_m, gamma_m = gauss_rows(n, b), gamma_rows(n, b, params.c)
+def _eigenmatrix_cached(params: SchemeParams) -> tuple:
+    n, b = params.n, params.b
+    gauss_m, gamma_m = tables(params)
     rows = []
     for x in range(n + 1):
         m = n - x
@@ -130,7 +132,7 @@ def _eigenmatrix_cached(params: SchemeParams) -> Eigenmatrix:
         for j, col in enumerate(cols):
             if sum(u * v for u, v in zip(row, col)) != (size if i == j else 0):
                 raise ArithmeticError(f"eigenmatrix fails P·P = |X|·I at ({i}, {j})")
-    return Eigenmatrix(entries=tuple(rows), params=params)
+    return tuple(rows)
 
 
 def _c_table(max_n: int, b, c) -> list:

@@ -7,16 +7,16 @@ lambda = n, summed in plain integers.  Integrality of the output is
 enforced, not rounded; a non-integer or negative dual count means the input
 distribution is not the weight distribution of a linear code in the scheme.
 The moment identities and the maximal-code distribution are integer sums
-too, over the Gaussian and gamma tables of bnary; the moment sides are
-returned as Fractions.
+too, over the scheme's Gaussian and gamma tables (eigenvalues.tables); the
+moment sides are returned as Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import as_int, bpow, gamma_rows, gauss, gauss_rows, is_int, sigma
-from .eigenvalues import SchemeParams, eigenmatrix
+from .bnary import as_int, bpow, gauss, is_int, sigma
+from .eigenvalues import SchemeParams, eigenmatrix, tables
 
 
 class UnrealizableDistribution(ValueError):
@@ -71,7 +71,7 @@ def _as_counts(values, size=1) -> list:
 
 def transform_eigen(tin: TransformInput) -> list:
     """Dual distribution via the eigenmatrix: c' = (1/|C|) c P."""
-    p = eigenmatrix(tin.params).entries
+    p = eigenmatrix(tin.params)
     n = tin.params.n
     raw = [sum(tin.dist[i] * p[i][k] for i in range(n + 1)) for k in range(n + 1)]
     return _as_counts(raw, tin.code_size)
@@ -87,14 +87,13 @@ def transform_functional(tin: TransformInput) -> list:
         |C| c'_k = sum_i c_i sum_j (-1)^j b^(sigma(j) + j(n-i))
                    [i, j]_b [n-i, k-j]_b gamma(n-j, k-j).
 
-    The Gaussian rows and the gamma products come from the integer tables
-    gauss_rows and gamma_rows; gamma(n-j, m) is an integer even for skew
-    schemes with even t, where c = 1/q but c b^(n-j) is integral.
+    The Gaussian rows and the gamma products come from the scheme's integer
+    tables; gamma(n-j, m) is an integer even for skew schemes with even t,
+    where c = 1/q but c b^(n-j) is integral.
     """
     params = tin.params
-    n, b = params.n, as_int(params.b)
-    rows = gauss_rows(n, b)
-    gammas = gamma_rows(n, b, params.c)
+    n, b = params.n, params.b
+    rows, gammas = tables(params)
     acc = [0] * (n + 1)
     for i, ci in enumerate(tin.dist):
         if ci == 0:
@@ -116,7 +115,7 @@ def moment_b(tin: TransformInput, phi: int) -> tuple:
     lhs = sum_{i<=n-phi} [n-i, phi] c_i
     rhs = (c b^n)^(n-phi)/|C'| * sum_{i<=phi} [n-i, n-phi] c'_i
 
-    Both sums are taken in integers over the gauss_rows table (c b^n is an
+    Both sums are taken in integers over the Gaussian table (c b^n is an
     integer in every family); the sides are returned as Fractions.
     """
     params = tin.params
@@ -124,7 +123,7 @@ def moment_b(tin: TransformInput, phi: int) -> tuple:
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
-    rows = gauss_rows(n, params.b)
+    rows = tables(params)[0]
     lhs = sum(rows[n - i][phi] * tin.dist[i] for i in range(n - phi + 1))
     tail = sum(rows[n - i][n - phi] * dual[i] for i in range(phi + 1))
     cbn = as_int(params.cbn())
@@ -138,17 +137,16 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
     rhs = (c b^n)^(n-phi)/|C'| *
           sum_{i<=phi} (-1)^i b^(sigma(i)+i(phi-i)) [n-i, n-phi] gamma(n-i, phi-i) c'_i
 
-    Both sums are taken in integers over the gauss_rows and gamma_rows
-    tables; the sides are returned as Fractions.
+    Both sums are taken in integers over the Gaussian and gamma tables; the
+    sides are returned as Fractions.
     """
     params = tin.params
     n = params.n
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
     dual = transform_eigen(tin)
-    b = as_int(params.b)
-    rows = gauss_rows(n, b)
-    gammas = gamma_rows(n, b, params.c)
+    b = params.b
+    rows, gammas = tables(params)
     lhs = sum(
         b ** (phi * (n - i)) * rows[i][phi] * tin.dist[i] for i in range(phi, n + 1)
     )
@@ -187,9 +185,9 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     if code_size < 1 or params.space_size % code_size:
         raise ValueError("code size must divide the space size")
     dual_size = params.space_size // code_size
-    b = as_int(params.b)
+    b = params.b
     cbn = as_int(params.cbn())
-    rows = gauss_rows(n, b)
+    rows = tables(params)[0]
 
     counts = [0] * (n + 1)
     counts[0] = dual_size

@@ -7,34 +7,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnary import gamma_rows, gauss_rows, is_int
-from .eigenvalues import SchemeParams
+from .bnary import is_int
+from .eigenvalues import SchemeParams, tables
 
 
 def _hamming(q, n):
-    return Fraction(1), Fraction(q), n
+    return 1, Fraction(q), n
 
 
 def _rank_metric(q, m, n):
     if m < n:
         raise ValueError(f"bilinear and gabidulin schemes require m >= n, got m={m}, n={n}")
-    return Fraction(q), Fraction(q) ** (m - n), n
+    return q, Fraction(q) ** (m - n), n
 
 
 def _skew(q, t):
     if t < 2:
         raise ValueError("skew scheme needs t >= 2")
     c = Fraction(q) if t % 2 else Fraction(1, q)
-    return Fraction(q) ** 2, c, t // 2
+    return q * q, c, t // 2
 
 
 def _hermitian(q, t):
-    return Fraction(-q), Fraction(-1), t
+    return -q, Fraction(-1), t
 
 
 # kind -> (dimension keys in dims order, exponent e of |X| = q^e as a function
-# of the dims, rule (q, *dims) -> (b, c, n)).  Together they implement this
-# parameter table:
+# of the dims, rule (q, *dims) -> (b, c, n) with b an int and c a Fraction).
+# Together they implement this parameter table:
 #
 #     kind        b     c                      classes n      |X|
 #     hamming     1     q                      n              q^n
@@ -58,14 +58,14 @@ MAX_SPACE_BITS = 16384  # |X| <= 2^MAX_SPACE_BITS
 def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     """Instantiate scheme parameters; dims are n=, m=/n= or t= per kind.
 
+    kind must be a str that is exactly a FAMILIES key; it is not case-folded.
     q must be an integer >= 2; primality of q as a prime power matters only
     to the brute-force oracle, which validates it separately when building
     the underlying field.  The dimension keywords must be exactly the
     family's keys, each a positive integer, and |X| must not exceed
     2^MAX_SPACE_BITS; that bound is checked before any power of q is formed.
     """
-    kind = kind.lower()
-    if kind not in FAMILIES:
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise ValueError(f"unknown scheme kind {kind!r}")
     if not is_int(q) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
@@ -99,9 +99,8 @@ def xi(params: SchemeParams, omega: int) -> int:
 
 def xi_vector(params: SchemeParams) -> list:
     """The weight counts xi(0..n), read off row n of the integer tables."""
-    n, b = params.n, params.b
-    gauss_n, gamma_n = gauss_rows(n, b)[n], gamma_rows(n, b, params.c)[n]
-    counts = [g * h for g, h in zip(gauss_n, gamma_n)]
+    gauss_m, gamma_m = tables(params)
+    counts = [g * h for g, h in zip(gauss_m[params.n], gamma_m[params.n])]
     for omega, count in enumerate(counts):
         if count < 0:
             raise ArithmeticError(f"negative weight count {count} at omega={omega}")
@@ -142,4 +141,4 @@ def scheme_from_json(obj: dict) -> SchemeParams:
     if not isinstance(obj, dict) or "kind" not in obj or "q" not in obj:
         raise ValueError("scheme spec needs 'kind' and 'q'")
     dims = {k: v for k, v in obj.items() if k not in ("kind", "q")}
-    return make_scheme(str(obj["kind"]), obj["q"], **dims)
+    return make_scheme(obj["kind"], obj["q"], **dims)

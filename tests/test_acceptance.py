@@ -143,7 +143,7 @@ def test_criterion_01_eigenvalue_form_equality():
     # reproduce every entry
     compared = 0
     for params in _all_kind_schemes() + Q4_DECK_SIZES:
-        em = eigenmatrix(params).entries
+        em = eigenmatrix(params)
         for k in range(params.n + 1):
             for x in range(params.n + 1):
                 assert em[x][k] == c_poly(k, x, params) == delsarte_p(k, x, params)
@@ -179,7 +179,7 @@ def test_criterion_04_structural_eigenmatrix_checks():
     for params in _all_kind_schemes():
         if params.n > 4:
             continue
-        em = eigenmatrix(params).entries
+        em = eigenmatrix(params)
         v = xi_vector(params)
         m = params.n + 1
         size = params.space_size

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import krawtchouk
-from krawtchouk import Eigenmatrix, cli, schemes
+from krawtchouk import cli, schemes
 from krawtchouk.cli import main
 
 from conftest import within_seconds
@@ -95,6 +95,14 @@ def test_invalid_scheme_exits_2(capsys):
     code, _, err = run_cli(capsys, "scheme", "info", "--scheme-json", '{"kind":"nope","q":2}')
     assert code == 2
     assert "invalid input" in err
+
+
+def test_scheme_kind_is_not_case_folded(capsys):
+    spec = '{"kind":"HAMMING","q":2,"n":3}'
+    code, out, err = run_cli(capsys, "scheme", "info", "--scheme-json", spec)
+    assert code == 2
+    assert out == ""
+    assert "unknown scheme kind 'HAMMING'" in err
 
 
 def test_invalid_weights_exit_2(capsys):
@@ -199,11 +207,11 @@ def test_verify_eigen_suite(capsys):
 
 def test_verify_eigen_suite_checks_the_printed_matrix(capsys, monkeypatch):
     params = schemes.make_scheme("hermitian", 2, t=2)
-    entries = [list(row) for row in cli.eigenmatrix(params).entries]
+    entries = [list(row) for row in cli.eigenmatrix(params)]
     entries[1][2] += 1
 
     def corrupt(p):
-        return Eigenmatrix(entries=tuple(map(tuple, entries)), params=p)
+        return tuple(map(tuple, entries))
 
     monkeypatch.setattr(cli, "eigenmatrix", corrupt)
     code, out, err = run_cli(
@@ -343,6 +351,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["xi"] == [1, 3, 3, 1]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(
+        capsys, "scheme", "info", "--scheme-json", HAM3, "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: cannot write --out: ")
+    assert not target.exists()
 
 
 def test_output_is_deterministic(capsys):

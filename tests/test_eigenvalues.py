@@ -1,12 +1,13 @@
 """Eigenvalue polynomials: both closed forms, recurrence, eigenmatrix."""
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from krawtchouk import eigenvalues
-from krawtchouk.bnary import gamma, gamma_rows, gauss
+from krawtchouk import bnary, eigenvalues
+from krawtchouk.bnary import gamma, gamma_rows, gauss, gauss_rows
 from krawtchouk.eigenvalues import (
     c_poly,
     c_value,
@@ -15,6 +16,13 @@ from krawtchouk.eigenvalues import (
     delsarte_value,
     eigenmatrix,
     hermitian_recurrence_equiv,
+)
+from krawtchouk.macwilliams import (
+    TransformInput,
+    maximal_distribution,
+    moment_b,
+    moment_binv,
+    transform_functional,
 )
 from krawtchouk.schemes import make_scheme, xi_vector
 
@@ -75,20 +83,19 @@ def test_forms_agree_on_desk_schemes():
 
 
 def test_eigenmatrix_one_bit():
-    em = eigenmatrix(make_scheme("hamming", 2, n=1))
-    assert em.entries == ((1, 1), (1, -1))
+    assert eigenmatrix(make_scheme("hamming", 2, n=1)) == ((1, 1), (1, -1))
 
 
 def test_eigenmatrix_structure():
     for params in desk_schemes():
-        em = eigenmatrix(params).entries
+        em = eigenmatrix(params)
         assert list(em[0]) == xi_vector(params)
         assert all(row[0] == 1 for row in em)
 
 
 def test_eigenmatrix_involution_and_orthogonality():
     for params in desk_schemes():
-        em = eigenmatrix(params).entries
+        em = eigenmatrix(params)
         v = xi_vector(params)
         m = params.n + 1
         size = params.space_size
@@ -111,14 +118,60 @@ def test_eigenmatrix_check_rejects_corrupt_valency(monkeypatch):
         return rows
 
     monkeypatch.setattr(eigenvalues, "gamma_rows", corrupt_gamma_rows)
+    # the corrupt table must be built here and must not outlive the test
+    eigenvalues.tables.cache_clear()
     eigenvalues._eigenmatrix_cached.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=re.escape("P·P = |X|·I")):
             eigenmatrix(params)
     finally:
         monkeypatch.undo()
+        eigenvalues.tables.cache_clear()
         eigenvalues._eigenmatrix_cached.cache_clear()
-    assert eigenmatrix(params).entries[0] == tuple(xi_vector(params))
+    assert eigenmatrix(params)[0] == tuple(xi_vector(params))
+
+
+def test_tables_are_shared_tuples_of_the_integer_tables():
+    params = make_scheme("skew", 2, t=4)  # c = 1/2: row 0 of gamma must not form c
+    eigenvalues.tables.cache_clear()
+    gauss_t, gamma_t = eigenvalues.tables(params)
+    assert eigenvalues.tables(params) is eigenvalues.tables(make_scheme("skew", 2, t=4))
+    for table, rows in ((gauss_t, gauss_rows(2, 4)), (gamma_t, gamma_rows(2, 4, Fraction(1, 2)))):
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert list(map(list, table)) == rows
+    em = eigenmatrix(params)
+    assert type(em) is tuple and all(type(row) is tuple for row in em)
+
+
+def test_each_scheme_builds_its_tables_once(monkeypatch):
+    # every module of the package that binds a table builder counts its calls
+    calls = Counter()
+    for name in ("gauss_rows", "gamma_rows"):
+        builder = getattr(bnary, name)
+
+        def counted(*args, _name=name, _builder=builder):
+            calls[_name] += 1
+            return _builder(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("krawtchouk") and getattr(module, name, None) is builder:
+                monkeypatch.setattr(module, name, counted)
+    params = make_scheme("bilinear", 2, m=4, n=3)
+    eigenvalues.tables.cache_clear()
+    eigenvalues._eigenmatrix_cached.cache_clear()
+    try:
+        for _ in range(3):
+            eigenmatrix(params)
+            whole = TransformInput(xi_vector(params), params.space_size, params)
+            transform_functional(whole)
+            for phi in range(params.n + 1):
+                assert moment_b(whole, phi)[0] == moment_b(whole, phi)[1]
+                assert moment_binv(whole, phi)[0] == moment_binv(whole, phi)[1]
+            assert maximal_distribution(params, 2, 2 ** 8)[0] == 1
+    finally:
+        eigenvalues.tables.cache_clear()
+        eigenvalues._eigenmatrix_cached.cache_clear()
+    assert calls == {"gauss_rows": 1, "gamma_rows": 1}
 
 
 def test_check_recurrence_examples():

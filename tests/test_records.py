@@ -1,8 +1,8 @@
-"""Value semantics of the four immutable records: SchemeParams, Eigenmatrix,
+"""Value semantics of the three immutable records: SchemeParams,
 TransformInput and CodeSpec.
 
 They replace frozen dataclasses, so these tests pin what the dataclasses
-gave: equality and hashing by field values (SchemeParams keys both
+gave: equality and hashing by field values (SchemeParams keys the three
 lru_caches), no assignment, the dataclass repr, and validation on every
 way of building a TransformInput or a CodeSpec.
 """
@@ -12,14 +12,24 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk import Eigenmatrix, SchemeParams, TransformInput, eigenmatrix, eigenvalues, oracle
+from krawtchouk import SchemeParams, TransformInput, eigenmatrix, eigenvalues, oracle
+from krawtchouk._record import Record
 from krawtchouk.oracle import CodeSpec, space_for
 from krawtchouk.schemes import make_scheme
 
 HAM22_REPR = (
-    "SchemeParams(kind='hamming', q=2, dims=(2,), b=Fraction(1, 1), "
+    "SchemeParams(kind='hamming', q=2, dims=(2,), b=1, "
     "c=Fraction(2, 1), n=2, space_size=4)"
 )
+
+
+class Pair(Record):
+    """A two-field record with CodeSpec's field count, for the class-distinct check."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self._fill(first, second)
 
 
 def _records():
@@ -27,7 +37,6 @@ def _records():
     params = make_scheme("hamming", 2, n=2)
     return [
         params,
-        Eigenmatrix(entries=((1, 2, 1), (1, 0, -1), (1, -2, 1)), params=params),
         TransformInput([1, 0, 1], 2, params),
         CodeSpec(params, [[1, 1]]),
     ]
@@ -41,8 +50,8 @@ def test_equal_fields_give_equal_records_and_hashes():
         assert hash(a) == hash(b)
         assert hash(a) == hash(tuple(getattr(a, name) for name in a.__slots__))
     # a list dist and list generators are stored as tuples, so they compare equal
-    assert left[2].dist == (1, 0, 1)
-    assert left[3].generators == ((1, 1),)
+    assert left[1].dist == (1, 0, 1)
+    assert left[2].generators == ((1, 1),)
 
 
 def test_records_differ_by_field_and_by_class():
@@ -52,15 +61,19 @@ def test_records_differ_by_field_and_by_class():
     assert TransformInput((1, 0, 1), 2, p) != TransformInput((1, 1, 0), 2, p)
     assert CodeSpec(p, ((1, 1),)) != CodeSpec(p, ((1, 0),))
     # the same field values in a record of another class: never equal
-    em = Eigenmatrix(entries=p, params=((1, 1),))
-    assert em != CodeSpec(p, ((1, 1),)) and CodeSpec(p, ((1, 1),)) != em
+    pair = Pair(p, ((1, 1),))
+    assert pair != CodeSpec(p, ((1, 1),)) and CodeSpec(p, ((1, 1),)) != pair
     assert p != tuple(getattr(p, name) for name in p.__slots__)
 
 
 def test_scheme_params_key_both_caches():
     first, second = make_scheme("skew", 2, t=4), make_scheme("skew", 2, t=4)
     assert first is not second
-    for cached, public in ((eigenvalues._eigenmatrix_cached, eigenmatrix), (oracle._space_cached, space_for)):
+    for cached, public in (
+        (eigenvalues._eigenmatrix_cached, eigenmatrix),
+        (eigenvalues.tables, eigenvalues.tables),
+        (oracle._space_cached, space_for),
+    ):
         cached.cache_clear()
         built = public(first)
         assert public(second) is built
@@ -68,7 +81,7 @@ def test_scheme_params_key_both_caches():
         assert (info.hits, info.misses) == (1, 1)
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(3))
 def test_records_are_immutable(index):
     record = _records()[index]
     before = repr(record)
@@ -84,11 +97,8 @@ def test_repr_is_the_dataclass_repr():
     p = make_scheme("hamming", 2, n=2)
     assert repr(p) == HAM22_REPR
     assert repr(make_scheme("skew", 2, t=4)) == (
-        "SchemeParams(kind='skew', q=2, dims=(4,), b=Fraction(4, 1), "
+        "SchemeParams(kind='skew', q=2, dims=(4,), b=4, "
         "c=Fraction(1, 2), n=2, space_size=64)"
-    )
-    assert repr(eigenmatrix(p)) == (
-        f"Eigenmatrix(entries=((1, 2, 1), (1, 0, -1), (1, -2, 1)), params={HAM22_REPR})"
     )
     assert repr(TransformInput([1, 0, 1], 2, p)) == (
         f"TransformInput(dist=(1, 0, 1), code_size=2, params={HAM22_REPR})"
@@ -103,11 +113,11 @@ def test_fields_by_position_or_keyword():
     with pytest.raises(TypeError):
         SchemeParams(kind="hamming")
     with pytest.raises(TypeError):
-        Eigenmatrix((), p, None)
+        TransformInput((1, 0, 1), 2, p, None)
     with pytest.raises(TypeError):
-        Eigenmatrix(entries=(), params=p, extra=1)
+        TransformInput(dist=(1, 0, 1), code_size=2, params=p, extra=1)
     with pytest.raises(TypeError):
-        Eigenmatrix((), entries=(), params=p)
+        CodeSpec(p, params=p, generators=((1, 1),))
 
 
 def test_copies_and_pickles_rebuild_through_the_constructor():

@@ -36,6 +36,12 @@ def test_make_scheme_table_rows():
     assert (bi.b, bi.c, bi.n, bi.space_size) == (3, 3, 2, 729)
 
 
+def test_b_is_an_int_and_cbn_a_fraction_in_every_family():
+    for params in desk_schemes():
+        assert type(params.b) is int, params
+        assert type(params.cbn()) is Fraction, params
+
+
 def test_family_table_covers_every_kind():
     assert tuple(FAMILIES) == KINDS == ("hamming", "bilinear", "gabidulin", "skew", "hermitian")
 
@@ -62,6 +68,15 @@ def test_make_scheme_rejections():
         make_scheme("hamming", 2, n=3, t=9)
     # the algebraic core accepts non-prime-power q
     assert make_scheme("hamming", 6, n=2).space_size == 36
+
+
+@pytest.mark.parametrize("kind", ["Hamming", "HAMMING", 5, ["hamming"]])
+def test_kind_must_be_exactly_a_family_key(kind):
+    # rejected at the boundary, never case-folded or converted with str()
+    with pytest.raises(ValueError, match="unknown scheme kind"):
+        make_scheme(kind, 2, n=3)
+    with pytest.raises(ValueError, match="unknown scheme kind"):
+        scheme_from_json({"kind": kind, "q": 2, "n": 3})
 
 
 def test_make_scheme_rejects_bools():
