@@ -99,7 +99,7 @@ def cmd_scheme_info(args):
 
 def cmd_scheme_eigenmatrix(args):
     params = _parse_scheme(args.scheme_json)
-    mat = eigenmatrix(params)  # raises unless P P = |X| I
+    mat = eigenmatrix(params)  # checked by O(n^2) invariants (row sums, reciprocity)
     return {
         "kind": params.kind,
         "n": params.n,

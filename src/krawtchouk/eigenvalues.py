@@ -5,7 +5,8 @@ association scheme: the b-Krawtchouk sum C_k(x, n) and Delsarte's
 generalised Krawtchouk sum P_k(x, n).  They are equal as functions but
 their individual terms cancel differently, so they serve as independent
 references.  The eigenmatrix uses neither: it is built in integers from the
-valencies by the defining recurrence and checked against P P = |X| I.
+valencies by the defining recurrence and checked by O(n^2) invariants (row
+sums, reciprocity); P P = |X| I is left to the tests.
 The library's integer sums read each scheme's Gaussian and gamma tables
 from tables(params).  check_recurrence and hermitian_recurrence_equiv hold
 C_k(x, n) to the same recurrence step.
@@ -93,9 +94,10 @@ def eigenmatrix(params: SchemeParams) -> tuple:
 
     Row x is the valency row of the scheme with n - x classes, carried up
     x times by C_{k+1}(x+1, n+1) = b^{k+1} C_{k+1}(x, n) - b^k C_k(x, n).
-    The result must satisfy P P = |X| I (here P = Q); a failure signals an
-    arithmetic bug rather than bad input, hence ArithmeticError.  Matrices
-    are immutable and cached per parameter set.
+    The result is checked by O(n^2) invariants (row sums, reciprocity) that
+    every eigenmatrix with P P = |X| I satisfies (here P = Q); a failure
+    signals an arithmetic bug rather than bad input, hence ArithmeticError.
+    Matrices are immutable and cached per parameter set.
     """
     return _eigenmatrix_cached(params)
 
@@ -115,6 +117,30 @@ def _step(row: list, b) -> list:
     return row[:1] + [b ** k * row[k] - b ** (k - 1) * row[k - 1] for k in range(1, len(row))]
 
 
+def _check_invariants(rows, params: SchemeParams) -> None:
+    """Exact O(n^2) facts of an eigenmatrix with P P = |X| I; ArithmeticError if one fails.
+
+    Column 0 is all ones; row x sums to |X| at x = 0 and to 0 otherwise (the
+    eigenvalues of the all-ones matrix); and with xi = row 0, reciprocity
+    xi_x P_k(x) = xi_k P_x(k) holds, since P = Q and v = m = xi (Delsarte
+    1973).  Row 0 and xi_vector read the same table, so the x = 0 row sum is
+    what holds the valencies to |X|.
+    """
+
+    def fail(fault):
+        raise ArithmeticError(f"eigenmatrix fails P·P = |X|·I: {fault}")
+
+    xi = rows[0]
+    for x, row in enumerate(rows):
+        if row[0] != 1:
+            fail(f"column 0 is not 1 in row {x}")
+        if sum(row) != (params.space_size if x == 0 else 0):
+            fail(f"row {x} has the wrong sum")
+        for k in range(x):
+            if xi[x] * row[k] != xi[k] * rows[k][x]:
+                fail(f"reciprocity at ({x}, {k})")
+
+
 @functools.lru_cache(maxsize=16)  # bounded: one process may see many schemes
 def _eigenmatrix_cached(params: SchemeParams) -> tuple:
     n, b = params.n, params.b
@@ -126,12 +152,7 @@ def _eigenmatrix_cached(params: SchemeParams) -> tuple:
         for _ in range(x):
             row = _step(row + [0], b)  # C_k(x, m) = 0 for k > m
         rows.append(tuple(row))
-    size = params.space_size
-    cols = list(zip(*rows))
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
-            if sum(u * v for u, v in zip(row, col)) != (size if i == j else 0):
-                raise ArithmeticError(f"eigenmatrix fails P·P = |X|·I at ({i}, {j})")
+    _check_invariants(rows, params)
     return tuple(rows)
 
 

@@ -12,6 +12,7 @@ moment sides are returned as Fractions.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._record import Record
@@ -70,11 +71,18 @@ def _as_counts(values, size=1) -> list:
 
 
 def transform_eigen(tin: TransformInput) -> list:
-    """Dual distribution via the eigenmatrix: c' = (1/|C|) c P."""
-    p = eigenmatrix(tin.params)
-    n = tin.params.n
-    raw = [sum(tin.dist[i] * p[i][k] for i in range(n + 1)) for k in range(n + 1)]
-    return _as_counts(raw, tin.code_size)
+    """Dual distribution via the eigenmatrix: c' = (1/|C|) c P, one pass per nonzero c_i."""
+    acc = [0] * (tin.params.n + 1)
+    for ci, row in zip(tin.dist, eigenmatrix(tin.params)):
+        if ci:
+            acc = [a + ci * v for a, v in zip(acc, row)]
+    return _as_counts(acc, tin.code_size)
+
+
+@functools.lru_cache(maxsize=1)  # one dual per moment pair, not a result cache
+def _dual(tin: TransformInput) -> tuple:
+    """transform_eigen(tin) as a tuple, shared by the moments of one input."""
+    return tuple(transform_eigen(tin))
 
 
 def transform_functional(tin: TransformInput) -> list:
@@ -84,28 +92,32 @@ def transform_functional(tin: TransformInput) -> list:
     (1/|C|) sum_i c_i (X-Y)^[i] * (X + (c b^lambda - 1)Y)^[n-i] at lambda = n.
     Expanding each product there gives, in integers,
 
-        |C| c'_k = sum_i c_i sum_j (-1)^j b^(sigma(j) + j(n-i))
-                   [i, j]_b [n-i, k-j]_b gamma(n-j, k-j).
+        |C| c'_k = sum_j sum_u gamma(n-j, u) inner_j[u],  k = j + u,
+        inner_j[u] = sum_{i>=j} c_i (-1)^j b^(sigma(j) + j(n-i)) [i, j]_b [n-i, u]_b,
 
-    The Gaussian rows and the gamma products come from the scheme's integer
-    tables; gamma(n-j, m) is an integer even for skew schemes with even t,
-    where c = 1/q but c b^(n-j) is integral.
+    so gamma multiplies each inner sum once.  j runs up to the largest i with
+    c_i != 0.  The Gaussian rows and the gamma products come from the
+    scheme's integer tables; gamma(n-j, u) is an integer even for skew
+    schemes with even t, where c = 1/q but c b^(n-j) is integral.
     """
     params = tin.params
     n, b = params.n, params.b
     rows, gammas = tables(params)
+    weights = [(i, ci) for i, ci in enumerate(tin.dist) if ci]
     acc = [0] * (n + 1)
-    for i, ci in enumerate(tin.dist):
-        if ci == 0:
-            continue
-        left, right = rows[i], rows[n - i]
-        for j in range(i + 1):
-            coef = ci * b ** (sigma(j) + j * (n - i)) * left[j]
+    for j in range(weights[-1][0] + 1):
+        inner = [0] * (n - j + 1)
+        s = sigma(j)
+        for i, ci in weights:
+            if i < j:
+                continue
+            coef = ci * b ** (s + j * (n - i)) * rows[i][j]
             if j % 2:
                 coef = -coef
-            gam = gammas[n - j]
-            for k in range(j, j + n - i + 1):
-                acc[k] += coef * right[k - j] * gam[k - j]
+            for u, g in enumerate(rows[n - i]):
+                inner[u] += coef * g
+        for k, (g, v) in enumerate(zip(gammas[n - j], inner), j):
+            acc[k] += g * v
     return _as_counts(acc, tin.code_size)
 
 
@@ -122,7 +134,7 @@ def moment_b(tin: TransformInput, phi: int) -> tuple:
     n = params.n
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
-    dual = transform_eigen(tin)
+    dual = _dual(tin)
     rows = tables(params)[0]
     lhs = sum(rows[n - i][phi] * tin.dist[i] for i in range(n - phi + 1))
     tail = sum(rows[n - i][n - phi] * dual[i] for i in range(phi + 1))
@@ -144,7 +156,7 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
     n = params.n
     if not is_int(phi) or not 0 <= phi <= n:
         raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
-    dual = transform_eigen(tin)
+    dual = _dual(tin)
     b = params.b
     rows, gammas = tables(params)
     lhs = sum(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk import macwilliams
+from krawtchouk import eigenvalues, macwilliams
 from krawtchouk.balgebra import (
     NU_LINEAR,
     b_derivative,
@@ -196,6 +196,61 @@ def test_criterion_04_structural_eigenmatrix_checks():
                 assert total == (size * v[k] if k == ell else 0)
         checked += 1
     _report(4, f"row/column structure, involution and orthogonality on {checked} schemes")
+
+
+# one small scheme per family for the corruption sweeps
+SMALL_PER_FAMILY = [
+    make_scheme("hamming", 3, n=4),
+    make_scheme("bilinear", 2, m=4, n=3),
+    make_scheme("gabidulin", 3, m=3, n=3),
+    make_scheme("skew", 2, t=7),
+    make_scheme("hermitian", 2, t=4),
+]
+
+PP_FAILS = re.escape("P·P = |X|·I")
+
+
+def _moved(rows, x, k, delta, k_back=None):
+    """rows with delta added at [x][k], and taken back at [x][k_back] if given."""
+    out = [list(row) for row in rows]
+    out[x][k] += delta
+    if k_back is not None:
+        out[x][k_back] -= delta
+    return tuple(map(tuple, out))
+
+
+def test_eigenmatrix_invariants_hold_on_every_scheme():
+    for params in _all_kind_schemes() + Q4_DECK_SIZES:
+        eigenvalues._check_invariants(eigenmatrix(params), params)
+
+
+def test_eigenmatrix_invariants_reject_interior_corruption():
+    rejected = 0
+    for params in SMALL_PER_FAMILY:
+        em = eigenmatrix(params)
+        for x in range(1, params.n + 1):
+            for k in range(1, params.n + 1):
+                for delta in (1, -1):
+                    with pytest.raises(ArithmeticError, match=PP_FAILS):
+                        eigenvalues._check_invariants(_moved(em, x, k, delta), params)
+                    rejected += 1
+    assert rejected == 2 * sum(p.n ** 2 for p in SMALL_PER_FAMILY)
+
+
+def test_each_eigenmatrix_invariant_rejects_on_its_own():
+    # each corruption keeps the row sums where it can, so that the named
+    # invariant is the one that fires
+    params = make_scheme("hamming", 3, n=4)
+    em = eigenmatrix(params)
+    for rows, fault in (
+        (_moved(em, 2, 0, 1, k_back=1), "column 0 is not 1 in row 2"),
+        (_moved(em, 0, 2, 1), "row 0 has the wrong sum"),
+        (_moved(em, 3, 3, 1), "row 3 has the wrong sum"),
+        (_moved(em, 2, 2, 1, k_back=1), "reciprocity at (2, 1)"),
+        (_moved(em, 1, 1, 1, k_back=3), "reciprocity at (3, 1)"),
+    ):
+        with pytest.raises(ArithmeticError, match=PP_FAILS + ": " + re.escape(fault) + "$"):
+            eigenvalues._check_invariants(rows, params)
 
 
 def test_criterion_05_first_principles_eigenvalues():

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from krawtchouk import macwilliams
 from krawtchouk.bnary import gamma, gauss
+from krawtchouk.cli import main
+from krawtchouk.eigenvalues import delsarte_p
 from krawtchouk.macwilliams import (
     TransformInput,
     UnrealizableDistribution,
@@ -106,6 +109,89 @@ def test_transform_rejects_unrealizable():
         transform_eigen(_tin(HAM23, (1, 3, 0, 0)))
     with pytest.raises(UnrealizableDistribution):
         transform_functional(_tin(HAM23, (1, 3, 0, 0)))
+
+
+def _fraction_dual(tin):
+    """(1/|C|) sum_i c_i P_k(i) from Delsarte's closed form, in Fractions."""
+    params, n = tin.params, tin.params.n
+    return [
+        sum(ci * delsarte_p(k, i, params) for i, ci in enumerate(tin.dist)) / tin.code_size
+        for k in range(n + 1)
+    ]
+
+
+def _leading_block(params, k):
+    """Weights of the elements supported on the first k coordinates (columns)."""
+    dims = {"n": k} if params.kind == "hamming" else {"m": params.dims[0], "n": k}
+    return xi_vector(make_scheme(params.kind, params.q, **dims)) + [0] * (params.n - k)
+
+
+def test_row_pass_matches_the_fraction_reference_on_sparse_distributions():
+    cases = [(HAM27, HAMMING_74), (HAM27, SIMPLEX_73)]
+    for q in (2, 3):
+        for params in (
+            make_scheme("hamming", q, n=6),
+            make_scheme("bilinear", q, m=4, n=3),
+            make_scheme("gabidulin", q, m=3, n=3),
+        ):
+            cases += [(params, _leading_block(params, k)) for k in range(1, params.n + 1)]
+        cases.append((make_scheme("hamming", q, n=5), [1, 0, 0, 0, 0, q - 1]))  # repetition
+    for params, dist in cases:
+        tin = _tin(params, dist)
+        want = _fraction_dual(tin)
+        assert transform_eigen(tin) == want, (params, dist)
+        assert transform_functional(tin) == want, (params, dist)
+
+
+def test_both_routes_on_the_edges_of_a_large_hermitian_scheme():
+    params = make_scheme("hermitian", 16, t=12)
+    full = xi_vector(params)
+    zero = [1] + [0] * params.n
+    for transform in (transform_eigen, transform_functional):
+        assert transform(_tin(params, full)) == zero
+        assert transform(_tin(params, zero)) == full
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """The inputs transform_eigen is called with, starting from an empty dual cache."""
+    calls = []
+    real = macwilliams.transform_eigen
+
+    def counting(tin):
+        calls.append(tin)
+        return real(tin)
+
+    monkeypatch.setattr(macwilliams, "transform_eigen", counting)
+    macwilliams._dual.cache_clear()
+    yield calls
+    macwilliams._dual.cache_clear()
+
+
+def test_one_dual_per_moment_pair(eigen_calls):
+    tin = _tin(HAM27, HAMMING_74)
+    for phi in range(HAM27.n + 1):
+        moment_b(tin, phi)
+        moment_binv(tin, phi)
+    assert len(eigen_calls) == 1
+    again = _tin(make_scheme("hamming", 2, n=7), HAMMING_74)  # equal, built apart
+    assert again == tin and again is not tin
+    assert moment_b(again, 3) == moment_b(tin, 3)
+    moment_binv(again, 3)
+    assert len(eigen_calls) == 1
+    moment_b(_tin(HAM27, SIMPLEX_73), 3)
+    moment_binv(_tin(HAM27, SIMPLEX_73), 3)
+    assert eigen_calls[1:] == [_tin(HAM27, SIMPLEX_73)]
+    assert isinstance(macwilliams._dual(_tin(HAM27, SIMPLEX_73)), tuple)  # not mutable
+    moment_b(tin, 3)  # one entry only: the first input's dual is gone
+    assert len(eigen_calls) == 3
+
+
+def test_verify_moments_transforms_once_per_trial(eigen_calls, capsys):
+    scheme = '{"kind":"hamming","q":2,"n":4}'
+    assert main(["verify", "--scheme-json", scheme, "--suite", "moments", "--trials", "1"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    assert len(eigen_calls) == 1  # not 2 (n + 1) = 10
 
 
 def test_moment_b_zero_order_counts_code():
