@@ -22,7 +22,6 @@ from .eigenvalues import (
 from .macwilliams import (
     TransformInput,
     UnrealizableDistribution,
-    invert_triangular,
     maximal_distribution,
     moment_b,
     moment_binv,
@@ -50,7 +49,6 @@ __all__ = [
     "gamma",
     "gauss",
     "hermitian_recurrence_equiv",
-    "invert_triangular",
     "make_scheme",
     "maximal_distribution",
     "moment_b",

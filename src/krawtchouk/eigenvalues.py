@@ -46,12 +46,24 @@ def c_value(k: int, x: int, n: int, b, c) -> Fraction:
     for j in range(k + 1):
         term = (
             bpow(b, j * (n - x) + sigma(j))
-            * gauss(x, j, b)
-            * gauss(n - x, k - j, b)
-            * gamma(n - j, k - j, b, c)
+            * _gauss(x, j, b)
+            * _gauss(n - x, k - j, b)
+            * _gamma(n - j, k - j, b, c)
         )
         total += -term if j % 2 else term
     return total
+
+
+# A table of C_k(x, n) (_c_table) asks c_value for each Gaussian and gamma
+# many times over; these bounded caches evaluate each of them once.
+@functools.lru_cache(maxsize=1024)
+def _gauss(x: int, k: int, b: Fraction) -> Fraction:
+    return gauss(x, k, b)
+
+
+@functools.lru_cache(maxsize=1024)
+def _gamma(x: int, k: int, b: Fraction, c: Fraction) -> Fraction:
+    return gamma(x, k, b, c)
 
 
 def delsarte_value(k: int, x: int, n: int, b, c) -> Fraction:

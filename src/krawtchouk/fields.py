@@ -215,7 +215,27 @@ def row_reduce(rows, gf: GF):
 
 
 def matrix_rank(rows, gf: GF) -> int:
-    return len(row_reduce(rows, gf)[0])
+    """Rank of the rows over gf.
+
+    Over GF(2) each row is packed into an int, one bit per column, and
+    reduced by XOR against the basis in insertion order: min(v, v ^ b)
+    clears b's leading bit from v when it is set, and no later basis entry
+    has that bit, since each was reduced against the ones before it.  What
+    is left of v is zero exactly when the row lies in the span.  Every other
+    order goes through row_reduce.
+    """
+    if gf.order != 2:
+        return len(row_reduce(rows, gf)[0])
+    basis = []
+    for row in rows:
+        v = 0
+        for bit in row:
+            v = v << 1 | bit
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def nullspace(rows, gf: GF, width: int) -> list:

@@ -16,7 +16,7 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import as_int, bpow, gauss, is_int, sigma
+from .bnary import as_int, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix, tables
 
 
@@ -226,20 +226,3 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
         )
     return out
 
-
-def invert_triangular(x, b) -> list:
-    """Inverse of the map x_j = sum_{i<=j} [l-i choose l-j] y_i, l = len(x) - 1:
-
-    y_i = sum_{j<=i} (-1)^(i-j) b^sigma(i-j) [l-j choose l-i] x_j.
-    """
-    x = [Fraction(v) for v in x]
-    b = Fraction(b)
-    ell = len(x) - 1
-    out = []
-    for i in range(ell + 1):
-        total = Fraction(0)
-        for j in range(i + 1):
-            term = bpow(b, sigma(i - j)) * gauss(ell - j, ell - i, b) * x[j]
-            total += -term if (i - j) % 2 else term
-        out.append(total)
-    return out

@@ -7,17 +7,21 @@ matrix) reconstructed on demand for weight computation.  The per-kind facts
 of that model live in one table, _MODELS, kept apart from schemes.FAMILIES
 so that the oracle shares no per-kind code with the algebra it checks.
 Everything here is exhaustive; it exists to verify the algebraic side.
-The one concession to speed is that each space, the first time it is
-enumerated, computes every element's weight once and keeps an element ->
-weight table beside the weight buckets; the axiom and character-sum loops
-read weights from that table instead of recomputing a matrix rank per
-lookup.
+
+Each space, the first time it is enumerated, computes every element's
+weight once and keeps it in the weight buckets and in a list indexed by
+the element's place i in elements() order, i = sum_c coords[c] q^(d-1-c).  The axiom and character-sum checks work on
+those indices: they build whole-space vectors one coordinate at a time
+(index(x - z) for every z, and AbsTr(pairing(z, y)) for every z) and count
+pairs with collections.Counter, instead of forming one tuple per element.
+Tuples stay at every public boundary.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import random
+from collections import Counter
 
 from ._record import Record
 from .bnary import is_int
@@ -152,7 +156,8 @@ class SchemeSpace:
                 f"duality form for {kind} is degenerate; pairing choice is wrong"
             )
         self._buckets = None
-        self._weights = None
+        self._by_index = None  # weight of the i-th element of elements()
+        self._trace_tallies = {}  # x -> per-representative Counter of (weight, trace)
 
     # -- structure ----------------------------------------------------------
 
@@ -160,9 +165,9 @@ class SchemeSpace:
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"element needs {self.dim} coordinates")
-        if not all(is_int(v) for v in coords):
+        if not all(map(is_int, coords)):
             raise ValueError(f"coordinates must be ints, got {coords}")
-        if any(not 0 <= v < self.gf.order for v in coords):
+        if coords and (min(coords) < 0 or max(coords) >= self.gf.order):
             raise ValueError("coordinate out of field range")
         return coords
 
@@ -192,7 +197,7 @@ class SchemeSpace:
         """Scheme weight: Hamming count or the appropriate matrix rank."""
         coords = self.validate(coords)
         if self.rank_field is None:
-            return sum(1 for v in coords if v)
+            return self.dim - coords.count(0)
         rank = matrix_rank(self.matrix(coords), self.rank_field)
         if rank % self._divisor:
             raise ArithmeticError(f"matrix rank {rank} is not a multiple of {self._divisor}")
@@ -227,28 +232,65 @@ class SchemeSpace:
         """All elements of the space grouped by weight (cached).
 
         The first call computes each element's weight once, through
-        `weight`, and fills the weight table alongside the buckets.  An
-        element whose weight lies outside 0..n is in the table only.
+        `weight`, and fills the by-index weight list alongside the buckets.
+        An element whose weight lies outside 0..n is in the list only.
         """
         if self._buckets is None:
             n = self.params.n
             buckets = [[] for _ in range(n + 1)]
-            weights = {}
+            by_index = []
             for e in self.elements():
-                w = weights[e] = self.weight(e)
+                w = self.weight(e)
+                by_index.append(w)
                 if 0 <= w <= n:
                     buckets[w].append(e)
-            self._buckets, self._weights = buckets, weights
+            self._buckets, self._by_index = buckets, by_index
         return self._buckets
 
     def weight_table(self) -> dict:
-        """Element -> weight for every element of the space (cached).
+        """Element -> weight for every element of the space, built on demand.
 
         Holds the raw `weight` value of each element, so a lookup gives
         exactly what `weight` would return.
         """
         self.weight_buckets()
-        return self._weights
+        return dict(zip(self.elements(), self._by_index))
+
+    # -- whole-space vectors, indexed like elements() ------------------------
+
+    def _difference_indices(self, xx) -> list:
+        """index(xx - z) for every z, in elements() order."""
+        q = self.gf.order
+        add, neg = self.gf.add_table, self.gf.neg_table
+        out = [0]
+        for a in xx:
+            row = [add[a][neg[r]] for r in range(q)]
+            out = [t * q + r for t in out for r in row]
+        return out
+
+    def _traces(self, y) -> list:
+        """AbsTr(pairing(z, y)) for every z, in elements() order; the trace is additive."""
+        gf = self.gf
+        p, mul = gf.p, gf.mul_table
+        out = [0]
+        for g in self.gram_vector(y):
+            row = [gf.abs_trace(mul[a][g]) for a in range(gf.order)]
+            out = [(t + r) % p for t in out for r in row]
+        return out
+
+    def _trace_tally(self, x) -> list:
+        """Per representative y of weight x: Counter of (weight(e), AbsTr(pairing(e, y))).
+
+        The representatives are the first element of the weight-x bucket
+        and, if it holds more than one, the last.  Cached per x.
+        """
+        tallies = self._trace_tallies.get(x)
+        if tallies is None:
+            bucket = self.weight_buckets()[x]
+            reps = [bucket[0]] if len(bucket) == 1 else [bucket[0], bucket[-1]]
+            tallies = [Counter(zip(self._by_index, self._traces(y))) for y in reps]
+            self._trace_tallies[x] = tallies
+        return tallies
 
 
 def space_for(params: SchemeParams) -> SchemeSpace:
@@ -257,8 +299,8 @@ def space_for(params: SchemeParams) -> SchemeSpace:
 
 
 # Bounded, since each enumerated space holds up to SPACE_GUARD elements in
-# its buckets and again in its weight table.  space_for stays a plain
-# function in front of it, which is what perfbench's tracer can wrap.
+# its buckets and their weights in its by-index list.  space_for stays a
+# plain function in front of it, which is what perfbench's tracer can wrap.
 @functools.lru_cache(maxsize=16)
 def _space_cached(params: SchemeParams) -> SchemeSpace:
     return SchemeSpace(params)
@@ -333,22 +375,9 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
     n = params.n
     if not (0 <= k <= n and 0 <= x <= n):
         raise ValueError(f"require 0 <= k, x <= {n}")
-    buckets = space.weight_buckets()
-    reps = [buckets[x][0]]
-    if len(buckets[x]) > 1:
-        reps.append(buckets[x][-1])
-    gf = space.gf
-    add, mul = gf.add_table, gf.mul_table
-    trace = [gf.abs_trace(a) for a in range(gf.order)]
     sums = []
-    for y in reps:
-        w = space.gram_vector(y)
-        counts = [0] * gf.p
-        for e in buckets[k]:
-            acc = 0
-            for a, b in zip(e, w):
-                acc = add[acc][mul[a][b]]
-            counts[trace[acc]] += 1
+    for tally in space._trace_tally(x):
+        counts = [tally[k, a] for a in range(space.gf.p)]
         if len(set(counts[1:])) != 1:
             raise AssertionError(f"unequal trace counts {counts} at (k={k}, x={x})")
         sums.append(counts[0] - counts[1])
@@ -372,18 +401,23 @@ def verify_scheme_axioms(params: SchemeParams, seed: int = 0) -> dict:
     n = params.n
     violations = []
     buckets = space.weight_buckets()
-    weight = space.weight_table()
+    by_index = space._by_index
 
-    for e, w in weight.items():
-        if (w == 0) != (e == space.zero):
+    def weights_from(xx):
+        """weight(xx - z) for every z, in elements() order."""
+        return [by_index[i] for i in space._difference_indices(xx)]
+
+    # element 0 of elements() is the zero vector
+    for i, ((e, w), w_neg) in enumerate(zip(zip(space.elements(), by_index), weights_from(space.zero))):
+        if (w == 0) != (i == 0):
             violations.append(f"weight-0 class is not the diagonal at {e}")
-        if weight[space.sub(space.zero, e)] != w:
+        if w_neg != w:
             violations.append(f"weight is not symmetric at {e}")
         if not 0 <= w <= n:
             violations.append(f"weight {w} out of range at {e}")
 
     # intersection numbers are indexed by weight, so they need every weight in range
-    in_range = all(0 <= w <= n for w in weight.values())
+    in_range = all(0 <= w <= n for w in by_index)
     relations = range(n + 1) if in_range else range(0)
     rng = random.Random(seed)
     elements = [e for bucket in buckets for e in bucket]
@@ -396,16 +430,15 @@ def verify_scheme_axioms(params: SchemeParams, seed: int = 0) -> dict:
             z = rng.choice(elements)
             y = rng.choice(buckets[kk])
             pairs.append((z, space.add(y, z)))
-        tables = []
-        for xx, yy in pairs:
-            table = [[0] * (n + 1) for _ in range(n + 1)]
-            for z in elements:
-                table[weight[space.sub(xx, z)]][weight[space.sub(yy, z)]] += 1
-            tables.append(table)
+        # every weight is in range here, so z runs over the whole space
+        tables = [Counter(zip(weights_from(xx), weights_from(yy))) for xx, yy in pairs]
         if any(t != tables[0] for t in tables[1:]):
             violations.append(f"intersection numbers not constant on relation {kk}")
+        row_sums = [0] * (n + 1)
+        for (i, _), count in tables[0].items():
+            row_sums[i] += count
         for i in range(n + 1):
-            if sum(tables[0][i]) != len(buckets[i]):
+            if row_sums[i] != len(buckets[i]):
                 violations.append(
                     f"row sum of intersection table at (i={i}, k={kk}) is not v_i"
                 )

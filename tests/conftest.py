@@ -89,7 +89,7 @@ def epsilon_closed(big_lam: int, phi: int, i: int, b) -> Fraction:
 def forward_triangular(y, b) -> list:
     """x_j = sum_{i<=j} [l-i choose l-j] y_i for l = len(y) - 1.
 
-    macwilliams.invert_triangular is its inverse.
+    invert_triangular is its inverse.
     """
     y = [Fraction(v) for v in y]
     ell = len(y) - 1
@@ -97,6 +97,24 @@ def forward_triangular(y, b) -> list:
         sum((gauss(ell - i, ell - j, b) * y[i] for i in range(j + 1)), Fraction(0))
         for j in range(ell + 1)
     ]
+
+
+def invert_triangular(x, b) -> list:
+    """Inverse of the map x_j = sum_{i<=j} [l-i choose l-j] y_i, l = len(x) - 1:
+
+    y_i = sum_{j<=i} (-1)^(i-j) b^sigma(i-j) [l-j choose l-i] x_j.
+    """
+    x = [Fraction(v) for v in x]
+    b = Fraction(b)
+    ell = len(x) - 1
+    out = []
+    for i in range(ell + 1):
+        total = Fraction(0)
+        for j in range(i + 1):
+            term = bpow(b, sigma(i - j)) * gauss(ell - j, ell - i, b) * x[j]
+            total += -term if (i - j) % 2 else term
+        out.append(total)
+    return out
 
 
 def desk_schemes(max_n: int = 4):

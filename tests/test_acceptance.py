@@ -36,7 +36,6 @@ from krawtchouk.eigenvalues import (
 from krawtchouk.macwilliams import (
     TransformInput,
     UnrealizableDistribution,
-    invert_triangular,
     maximal_distribution,
     moment_b,
     moment_binv,
@@ -62,6 +61,7 @@ from conftest import (
     epsilon_closed,
     epsilon_sum,
     forward_triangular,
+    invert_triangular,
     polys_equal,
     rand_const_poly,
     shift_param,

@@ -199,6 +199,32 @@ def test_check_recurrence_evaluates_each_closed_form_once(monkeypatch):
     assert all((n + 1, x, n) in seen for n in range(6) for x in range(n + 1))
 
 
+def test_c_table_evaluates_each_gaussian_and_gamma_once(monkeypatch):
+    seen = {"gauss": Counter(), "gamma": Counter()}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            seen[name][args] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(eigenvalues, "gauss", counted("gauss", gauss))
+    monkeypatch.setattr(eigenvalues, "gamma", counted("gamma", gamma))
+    eigenvalues._gauss.cache_clear()
+    eigenvalues._gamma.cache_clear()
+    try:
+        assert check_recurrence(make_scheme("hermitian", 2, t=3), 5) == []
+        # c_value's sums over this table ask for 756 Gaussians, 42 of them distinct
+        assert len(seen["gauss"]) == 42 and len(seen["gamma"]) == 28
+        assert check_recurrence(make_scheme("skew", 2, t=5), 6) == []
+        assert hermitian_recurrence_equiv(3, 5) == []
+        assert max(seen["gauss"].values()) == max(seen["gamma"].values()) == 1
+    finally:
+        eigenvalues._gauss.cache_clear()
+        eigenvalues._gamma.cache_clear()
+
+
 def test_one_corrupt_closed_form_is_reported_where_it_enters(monkeypatch):
     def corrupt(k, x, n, b, c):
         value = c_value(k, x, n, b, c)

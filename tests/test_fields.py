@@ -1,4 +1,7 @@
 """Finite field tables and the linear algebra built on them."""
+import itertools
+import random
+
 import pytest
 
 from krawtchouk.fields import (
@@ -111,3 +114,38 @@ def test_nullspace():
     assert len(nullspace([], gf, 3)) == 3
     # full-rank square system: trivial kernel
     assert nullspace([[1, 0], [0, 1]], gf, 2) == []
+
+
+def _reference_rank(rows, gf) -> int:
+    return len(row_reduce(rows, gf)[0])
+
+
+def test_xor_rank_matches_row_reduce_on_every_small_binary_matrix():
+    gf = field(2)
+    assert matrix_rank([], gf) == _reference_rank([], gf) == 0
+    assert matrix_rank([[], []], gf) == _reference_rank([[], []], gf) == 0
+    checked = 0
+    for r in range(1, 4):
+        for c in range(1, 5):
+            for bits in itertools.product((0, 1), repeat=r * c):
+                rows = [list(bits[i * c : (i + 1) * c]) for i in range(r)]
+                assert matrix_rank(rows, gf) == _reference_rank(rows, gf), rows
+                checked += 1
+    assert checked == sum(2 ** (r * c) for r in range(1, 4) for c in range(1, 5))
+
+
+def test_xor_rank_matches_row_reduce_on_random_binary_matrices():
+    gf = field(2)
+    rng = random.Random(2024)
+    ranks = set()
+    for _ in range(400):
+        r, c = rng.randint(0, 9), rng.randint(1, 12)
+        rows = [[rng.randrange(2) for _ in range(c)] for _ in range(r)]
+        for _ in range(rng.randint(0, 2)):  # zero rows anywhere
+            rows.insert(rng.randint(0, len(rows)), [0] * c)
+        if rows and rng.random() < 0.3:  # a repeated row
+            rows.append(list(rng.choice(rows)))
+        rank = matrix_rank(rows, gf)
+        assert rank == _reference_rank(rows, gf), rows
+        ranks.add(rank)
+    assert ranks == set(range(10))

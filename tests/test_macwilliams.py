@@ -11,7 +11,6 @@ from krawtchouk.eigenvalues import delsarte_p
 from krawtchouk.macwilliams import (
     TransformInput,
     UnrealizableDistribution,
-    invert_triangular,
     maximal_distribution,
     moment_b,
     moment_binv,
@@ -20,7 +19,7 @@ from krawtchouk.macwilliams import (
 )
 from krawtchouk.schemes import make_scheme, xi_vector
 
-from conftest import desk_schemes, forward_triangular
+from conftest import desk_schemes, forward_triangular, invert_triangular
 
 HAM23 = make_scheme("hamming", 2, n=3)
 HAM27 = make_scheme("hamming", 2, n=7)

@@ -346,3 +346,69 @@ def test_oracle_rejects_large_q_before_factoring():
 
 def test_model_table_covers_every_kind():
     assert tuple(oracle._MODELS) == KINDS
+
+
+def _index(space, coords) -> int:
+    """The place of an element in elements() order."""
+    i = 0
+    for v in coords:
+        i = i * space.gf.order + v
+    return i
+
+
+# odd characteristic (q = 3, 9) and extension coordinate fields (F_9, F_16)
+INDEX_CASES = [
+    params
+    for params in desk_schemes() + [make_scheme("hamming", 9, n=3), make_scheme("gabidulin", 2, m=4, n=2)]
+    if params.space_size <= SPACE_GUARD
+]
+
+
+@pytest.mark.parametrize("params", INDEX_CASES, ids=lambda p: f"{p.kind}-q{p.q}-{p.dims}")
+def test_whole_space_vectors_match_per_element_arithmetic(params):
+    space = SchemeSpace(params)
+    elements = list(space.elements())
+    assert [_index(space, e) for e in elements] == list(range(len(elements)))
+    rng = random.Random(f"{params.kind}{params.q}{params.dims}")
+    picks = [space.zero, elements[-1]] + [rng.choice(elements) for _ in range(3)]
+    for xx in picks:
+        expected = [_index(space, space.sub(xx, z)) for z in elements]
+        assert space._difference_indices(xx) == expected
+    for y in picks:
+        expected = [space.gf.abs_trace(space.pairing(z, y)) for z in elements]
+        assert space._traces(y) == expected
+
+
+def test_index_cases_cover_odd_and_extension_fields():
+    orders = {(p.kind, space_for(p).gf.order) for p in INDEX_CASES}
+    assert {("hamming", 3), ("hamming", 9), ("skew", 3), ("gabidulin", 16), ("hermitian", 3)} <= orders
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_scheme("hamming", 3, n=4), make_scheme("bilinear", 2, m=3, n=2), HERM22],
+    ids=["hamming-q3", "bilinear-q2", "hermitian-q2"],
+)
+def test_axioms_and_character_sums_weigh_each_element_once(monkeypatch, params):
+    calls = Counter()
+
+    class CountingSpace(SchemeSpace):
+        def weight(self, coords):
+            calls["weight"] += 1
+            return super().weight(coords)
+
+        def _traces(self, y):
+            calls["traces"] += 1
+            return super()._traces(y)
+
+    space = CountingSpace(params)
+    monkeypatch.setattr(oracle, "space_for", lambda p: space)
+    assert verify_scheme_axioms(params)["ok"]
+    n = params.n
+    for _ in range(2):
+        for k in range(n + 1):
+            for x in range(n + 1):
+                assert char_eigenvalue(params, k, x) == c_poly(k, x, params)
+    assert calls["weight"] == params.space_size
+    # at most two representatives per weight x, built once per space
+    assert n + 1 < calls["traces"] <= 2 * (n + 1)
