@@ -51,6 +51,10 @@ class GF:
             raise ValueError(f"{order} is not a prime power")
         self.order = order
         self.p, self.k = fp
+        # the field's encoding: digits[a] is a's base-p digits, little-endian
+        self.digits = tuple(
+            tuple(a // self.p ** i % self.p for i in range(self.k)) for a in range(order)
+        )
         if self.k == 1:
             self.modulus = None
         else:
@@ -59,13 +63,6 @@ class GF:
         self._check_axioms()
 
     # -- construction -----------------------------------------------------
-
-    def _digits(self, a: int):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def _undigits(self, ds) -> int:
         v = 0
@@ -77,10 +74,8 @@ class GF:
         p, k, n = self.p, self.k, self.order
         self.add_table = [[0] * n for _ in range(n)]
         self.mul_table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            da = self._digits(a)
-            for b in range(n):
-                db = self._digits(b)
+        for a, da in enumerate(self.digits):
+            for b, db in enumerate(self.digits):
                 self.add_table[a][b] = self._undigits(
                     [(x + y) % p for x, y in zip(da, db)]
                 )
@@ -101,7 +96,7 @@ class GF:
                                     prod[deg - k + j] - coef * mod[j]
                                 ) % p
                 self.mul_table[a][b] = self._undigits(prod[:k])
-        self.neg_table = [self._undigits([(-d) % p for d in self._digits(a)]) for a in range(n)]
+        self.neg_table = [self._undigits([(-d) % p for d in da]) for da in self.digits]
         self.inv_table = [0] * n
         for a in range(1, n):
             for b in range(1, n):

@@ -26,7 +26,7 @@ from collections import Counter
 from ._record import Record
 from .bnary import is_int
 from .eigenvalues import SchemeParams
-from .fields import MAX_ORDER, field, is_prime_power, matrix_rank, nullspace
+from .fields import field, matrix_rank, nullspace
 
 ENUM_GUARD = 1 << 20
 SPACE_GUARD = 1 << 12
@@ -48,18 +48,12 @@ def _rows(space, coords):
     return [list(coords[i * n : (i + 1) * n]) for i in range(m)]
 
 
-def _digit_columns(space, coords):
-    # expand each F_{q^m} entry into its base-q digit column
-    m, n = space.params.dims
-    q = space.rank_field.order
-    cols = []
-    for v in coords:
-        digits = []
-        for _ in range(m):
-            digits.append(v % q)
-            v //= q
-        cols.append(digits)
-    return [[cols[j][i] for j in range(n)] for i in range(m)]
+def _digit_rows(space, coords):
+    # row j is coordinate j's base-q digits (the field's own encoding for
+    # prime q): the n x m transpose of the expansion, of the same rank.  At
+    # m = 1 any q passes, and n = 1: the one row is nonzero exactly at rank 1
+    digits = space.gf.digits
+    return [digits[v] for v in coords]
 
 
 def _alternating(space, coords):
@@ -121,7 +115,7 @@ def _trace_form(space, u, v):
 _MODELS = {
     "hamming": (lambda q, n: (q, None, n), _vector, 1, _dot),
     "bilinear": (lambda q, m, n: (q, q, m * n), _rows, 1, _dot),
-    "gabidulin": (lambda q, m, n: (q ** m, q, n), _digit_columns, 1, _dot),
+    "gabidulin": (lambda q, m, n: (q ** m, q, n), _digit_rows, 1, _dot),
     "skew": (lambda q, t: (q, q, t * (t - 1) // 2), _alternating, 2, _dot),
     "hermitian": (lambda q, t: (q, q * q, t * t), _conj_symmetric, 1, _trace_form),
 }
@@ -131,10 +125,6 @@ class SchemeSpace:
     """Coordinate model of one scheme's ambient space."""
 
     def __init__(self, params: SchemeParams):
-        if params.q > MAX_ORDER:  # before factoring, which is trial division
-            raise ValueError(f"field order {params.q} exceeds the supported {MAX_ORDER}")
-        if not is_prime_power(params.q):
-            raise ValueError(f"oracle requires q to be a prime power, got {params.q}")
         kind, q = params.kind, params.q
         if kind not in _MODELS:
             raise ValueError(f"unknown kind {kind!r}")
@@ -150,11 +140,6 @@ class SchemeSpace:
 
         assert self.gf.order ** self.dim == params.space_size
         self.zero = (0,) * self.dim
-        self._gram = self._gram_matrix()
-        if matrix_rank(self._gram, self.gf) != self.dim:
-            raise AssertionError(
-                f"duality form for {kind} is degenerate; pairing choice is wrong"
-            )
         self._buckets = None
         self._by_index = None  # weight of the i-th element of elements()
         self._trace_tallies = {}  # x -> per-representative Counter of (weight, trace)
@@ -209,13 +194,20 @@ class SchemeSpace:
         """Scheme bilinear form; an element of the coordinate field."""
         return self._pairing(self, u, v)
 
-    def _gram_matrix(self):
+    @functools.cached_property
+    def _gram(self):
+        """The pairings of unit vectors, built and checked nondegenerate on first use."""
         units = []
         for c in range(self.dim):
             e = [0] * self.dim
             e[c] = 1
             units.append(tuple(e))
-        return [[self.pairing(units[r], units[c]) for c in range(self.dim)] for r in range(self.dim)]
+        gram = [[self.pairing(units[r], units[c]) for c in range(self.dim)] for r in range(self.dim)]
+        if matrix_rank(gram, self.gf) != self.dim:
+            raise AssertionError(
+                f"duality form for {self.params.kind} is degenerate; pairing choice is wrong"
+            )
+        return gram
 
     def gram_vector(self, y):
         """Row of pairings pairing(e_c, y), so pairing(x, y) = x . gram_vector."""
@@ -373,8 +365,8 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
     """
     space = space_for(params)
     n = params.n
-    if not (0 <= k <= n and 0 <= x <= n):
-        raise ValueError(f"require 0 <= k, x <= {n}")
+    if not (is_int(k) and is_int(x) and 0 <= k <= n and 0 <= x <= n):
+        raise ValueError(f"require integers 0 <= k, x <= {n}, got k={k!r}, x={x!r}")
     sums = []
     for tally in space._trace_tally(x):
         counts = [tally[k, a] for a in range(space.gf.p)]

@@ -122,6 +122,20 @@ def test_invalid_weights_exit_2(capsys):
         "--code-size", "1",
     )
     assert code == 2
+    # the CLI checks only that --weights is a JSON array; the library checks
+    # its length and entries, the range of --phi and the oracle's fields
+    for argv in (
+        ["transform", "--scheme-json", HAM3, "--weights", "5", "--code-size", "1"],
+        ["transform", "--scheme-json", HAM3, "--weights", "{}", "--code-size", "1"],
+        ["moments", "--scheme-json", HAM3, "--weights", "[1,0,0,1]", "--code-size", "2",
+         "--phi", "-1"],
+        ["moments", "--scheme-json", HAM3, "--weights", "[1,0,0,1]", "--code-size", "2",
+         "--phi", "4"],
+        ["verify", "--scheme-json", '{"kind":"hamming","q":6,"n":2}'],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("invalid input: "), argv
 
 
 def test_bool_inputs_exit_2(capsys):
@@ -133,6 +147,15 @@ def test_bool_inputs_exit_2(capsys):
         "--code-size", "2",
     )
     assert code == 2
+    assert "invalid input" in err
+    code, out, err = run_cli(
+        capsys,
+        "transform",
+        "--scheme-json", HAM3,
+        "--weights", "[1.5,0,0,1]",
+        "--code-size", "2",
+    )
+    assert (code, out) == (2, "")
     assert "invalid input" in err
     code, _, err = run_cli(
         capsys, "scheme", "info", "--scheme-json", '{"kind":"hamming","q":2,"n":true}'
@@ -265,6 +288,31 @@ def test_verify_explicit_inapplicable_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert "exceeds the 4096 guard" in err
+
+
+# 2^21 points: a code or its dual can pass the 2^20-word enumeration guard
+HAM2_21 = '{"kind":"hamming","q":2,"n":21}'
+
+
+def test_verify_skips_code_suites_past_the_enumeration_guard(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--scheme-json", HAM2_21, "--suite", "all", "--trials", "3")
+    assert code == 0
+    results = json.loads(out)["results"]
+    for name in ("transform", "moments"):
+        assert results[name] == {"ok": True, "skipped": "space size 2097152 exceeds the 1048576 guard"}
+    assert "skipped" not in results["recurrence"]
+    code, out, err = run_cli(capsys, "verify", "--scheme-json", HAM2_21, "--suite", "transform")
+    assert (code, out) == (2, "")
+    assert "exceeds the 1048576 guard" in err
+
+
+def test_verify_recurrence_builds_no_gram_matrix(capsys):
+    # 576 coordinates: pairing every pair of unit vectors would take seconds
+    spec = '{"kind":"bilinear","q":2,"m":24,"n":24}'
+    with within_seconds(1):
+        code, out, _ = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "recurrence")
+    assert code == 0
+    assert json.loads(out)["results"]["recurrence"]["ok"] is True
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])

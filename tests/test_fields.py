@@ -38,6 +38,16 @@ def test_supported_orders_construct():
         assert gf.mul(1, order - 1) == order - 1
 
 
+def test_digits_are_the_base_p_expansion():
+    for order in (2, 3, 4, 5, 7, 8, 9, 16):
+        gf = field(order)
+        assert len(gf.digits) == order
+        for a, digits in enumerate(gf.digits):
+            assert len(digits) == gf.k
+            assert all(0 <= d < gf.p for d in digits)
+            assert sum(d * gf.p ** i for i, d in enumerate(digits)) == a
+
+
 def test_rejections():
     with pytest.raises(ValueError):
         GF(6)

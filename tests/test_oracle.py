@@ -122,6 +122,38 @@ def test_gabidulin_expansion_rank():
     assert sp.weight((0, 0)) == 0
 
 
+def _expansion(space, coords):
+    """The m x n matrix over F_q whose column j is coordinate j's base-q digits."""
+    m, n = space.params.dims
+    q = space.rank_field.order
+    cols = []
+    for v in coords:
+        digits = []
+        for _ in range(m):
+            digits.append(v % q)
+            v //= q
+        cols.append(digits)
+    return [[cols[j][i] for j in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize(
+    "q, m, n", [(2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 2, 2)],
+    ids=lambda v: str(v),
+)
+def test_gabidulin_weight_is_the_rank_of_the_expansion(q, m, n):
+    sp = space_for(make_scheme("gabidulin", q, m=m, n=n))
+    for coords in sp.elements():
+        # row_reduce, not the GF(2) XOR path that weight takes at q = 2
+        assert sp.weight(coords) == len(row_reduce(_expansion(sp, coords), sp.rank_field)[0])
+
+
+def test_gram_matrix_is_checked_on_first_use():
+    sp = oracle.SchemeSpace(HAM23)  # a fresh space, outside the cache
+    sp._pairing = lambda space, u, v: 0
+    with pytest.raises(AssertionError, match="degenerate"):
+        sp.gram_vector((1, 0, 0))
+
+
 def test_enumerate_code_edges():
     zero = CodeSpec(params=HAM23, generators=())
     assert list(enumerate_code(zero)) == [(0, 0, 0)]
@@ -188,6 +220,15 @@ def test_char_eigenvalue_examples():
         assert char_eigenvalue(HAM23, k, 0) == xi_vector(HAM23)[k]
     assert char_eigenvalue(HAM23, 1, 1) == 1
     assert char_eigenvalue(SKEW24, 1, 1) == 3  # q^3 - q^2 - 1 at q = 2
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_char_eigenvalue_rejects_non_int_indices(index):
+    # 1.0 and True equal the Counter key 1, so they would read weight 1's counts
+    with pytest.raises(ValueError, match="integers"):
+        char_eigenvalue(HAM23, index, 0)
+    with pytest.raises(ValueError, match="integers"):
+        char_eigenvalue(HAM23, 0, index)
 
 
 def test_char_eigenvalue_odd_characteristic_matches_c_poly():
