@@ -36,10 +36,6 @@ def factor_prime_power(n: int):
     return p, k
 
 
-def is_prime_power(n: int) -> bool:
-    return factor_prime_power(n) is not None
-
-
 class GF:
     """Finite field of the given order with precomputed tables."""
 

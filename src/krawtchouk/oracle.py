@@ -166,14 +166,6 @@ class SchemeSpace:
         add = self.gf.add_table
         return tuple(add[a][b] for a, b in zip(u, v))
 
-    def sub(self, u, v):
-        add, neg = self.gf.add_table, self.gf.neg_table
-        return tuple(add[a][neg[b]] for a, b in zip(u, v))
-
-    def smul(self, s, u):
-        mul = self.gf.mul_table
-        return tuple(mul[s][a] for a in u)
-
     def matrix(self, coords):
         """The element in its natural matrix/vector shape."""
         return self._builder(self, coords)
@@ -238,15 +230,6 @@ class SchemeSpace:
                     buckets[w].append(e)
             self._buckets, self._by_index = buckets, by_index
         return self._buckets
-
-    def weight_table(self) -> dict:
-        """Element -> weight for every element of the space, built on demand.
-
-        Holds the raw `weight` value of each element, so a lookup gives
-        exactly what `weight` would return.
-        """
-        self.weight_buckets()
-        return dict(zip(self.elements(), self._by_index))
 
     # -- whole-space vectors, indexed like elements() ------------------------
 
@@ -316,20 +299,28 @@ class CodeSpec(Record):
 
 
 def enumerate_code(code: CodeSpec):
-    """Yield every codeword exactly once."""
+    """Yield every codeword exactly once, one addition per word.
+
+    The code is walked as an F_p-space, spanned by x^t g for each generator g
+    and t < k, where x^t is the field element p^t.  Step i adds spanning
+    vector K-1-v, where p^v is the largest power of p dividing i: the modular
+    p-ary Gray code, which visits each of the p^K combinations once.
+    """
     space = space_for(code.params)
     if code.code_size > ENUM_GUARD:
         raise ValueError(f"code of size {code.code_size} exceeds enumeration guard")
-    gens = code.generators
-    if not gens:
-        yield space.zero
-        return
-    for scalars in itertools.product(range(space.gf.order), repeat=len(gens)):
-        acc = space.zero
-        for s, g in zip(scalars, gens):
-            if s:
-                acc = space.add(acc, space.smul(s, g))
-        yield acc
+    gf = space.gf
+    p, mul = gf.p, gf.mul_table
+    span = [tuple(mul[p ** t][a] for a in g) for g in code.generators for t in range(gf.k)]
+    word = space.zero
+    yield word
+    for i in range(1, code.code_size):
+        v = 0
+        while i % p == 0:
+            i //= p
+            v += 1
+        word = space.add(word, span[-1 - v])
+        yield word
 
 
 def dual_code(code: CodeSpec) -> CodeSpec:

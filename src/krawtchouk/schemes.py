@@ -53,6 +53,7 @@ FAMILIES = {
 }
 KINDS = tuple(FAMILIES)
 MAX_SPACE_BITS = 16384  # |X| <= 2^MAX_SPACE_BITS
+MAX_CLASSES = 64  # n <= MAX_CLASSES: the eigenmatrix is (n+1)^2 integers of ~log2|X| bits
 
 
 def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
@@ -64,6 +65,7 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     the underlying field.  The dimension keywords must be exactly the
     family's keys, each a positive integer, and |X| must not exceed
     2^MAX_SPACE_BITS; that bound is checked before any power of q is formed.
+    The class count n must not exceed MAX_CLASSES.
     """
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise ValueError(f"unknown scheme kind {kind!r}")
@@ -85,6 +87,8 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     if e * (q.bit_length() - 1) > MAX_SPACE_BITS or (size := q ** e) > 1 << MAX_SPACE_BITS:
         raise ValueError(f"space size exceeds the supported 2^{MAX_SPACE_BITS}")
     b, c, n = rule(q, *raw)
+    if n > MAX_CLASSES:
+        raise ValueError(f"class count {n} exceeds the supported {MAX_CLASSES}")
     params = SchemeParams(kind=kind, q=q, dims=raw, b=b, c=c, n=n, space_size=size)
     assert params.cbn() ** n == size, "space size must equal (c b^n)^n"
     return params

@@ -340,7 +340,7 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     ids=["n=64", "n=65", "q=2^256", "q=2^256+1"],
 )
 def test_size_budget(capsys, q, n, accepted):
-    assert (cli.MAX_CLASSES, schemes.MAX_SPACE_BITS) == (64, 256 * 64)
+    assert (schemes.MAX_CLASSES, schemes.MAX_SPACE_BITS) == (64, 256 * 64)
     spec = json.dumps({"kind": "hamming", "q": q, "n": n})
     code, out, err = run_cli(capsys, "scheme", "info", "--scheme-json", spec)
     if accepted:
@@ -373,12 +373,48 @@ def test_size_budget_rejects_before_forming_the_space(capsys, spec):
 
 
 def test_verify_rejects_large_q_fast(capsys):
-    spec = '{"kind":"hamming","q":2305843009213693951,"n":1}'  # q = 2^61 - 1, a prime
+    # q = 2^61 - 1, a prime, meets the enumeration guard; q = 1048573, the
+    # largest prime below 2^20, passes it and meets the oracle's field limit
+    for q, message in ((2 ** 61 - 1, "exceeds the 1048576 guard"), (1048573, "exceeds the supported 16")):
+        spec = json.dumps({"kind": "hamming", "q": q, "n": 1})
+        with within_seconds(1):
+            code, out, err = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "transform")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+# past the oracle's field limits (order 16, prime q for the rank spaces) but
+# inside the size budget: only the recurrence suite can run
+BEYOND_ORACLE = [
+    '{"kind":"hermitian","q":16,"t":64}',
+    '{"kind":"gabidulin","q":16,"m":4,"n":2}',
+]
+
+
+@pytest.mark.parametrize("spec", BEYOND_ORACLE, ids=["hermitian-q16", "gabidulin-q16"])
+def test_verify_recurrence_runs_beyond_the_oracle(capsys, spec):
     with within_seconds(1):
-        code, out, err = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "transform")
-    assert code == 2
-    assert out == ""
-    assert "exceeds the supported 16" in err
+        code, out, _ = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "recurrence")
+    assert code == 0
+    assert json.loads(out)["results"]["recurrence"]["ok"] is True
+
+
+def test_verify_all_past_every_guard_skips_the_oracle_suites(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--scheme-json", BEYOND_ORACLE[0], "--suite", "all")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ok"] is True
+    skipped = [name for name, r in obj["results"].items() if "skipped" in r]
+    assert skipped == ["axioms", "eigen", "transform", "moments"]
+    assert obj["results"]["recurrence"]["ok"] is True
+
+
+def test_verify_all_rejects_a_field_the_oracle_cannot_model(capsys):
+    spec = '{"kind":"hermitian","q":4,"t":2}'
+    code, out, err = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "all")
+    assert (code, out) == (2, "")
+    assert "hermitian oracle supports prime q only" in err
 
 
 def test_internal_errors_are_not_invalid_input(monkeypatch):

@@ -8,7 +8,6 @@ from krawtchouk.fields import (
     GF,
     factor_prime_power,
     field,
-    is_prime_power,
     matrix_rank,
     nullspace,
     row_reduce,
@@ -18,6 +17,10 @@ from krawtchouk.fields import (
 def subfield_elements(gf: GF, sub_order: int) -> list:
     """Elements fixed by a -> a^sub_order, i.e. the copy of GF(sub_order)."""
     return [a for a in range(gf.order) if gf.pow(a, sub_order) == a]
+
+
+def is_prime_power(n: int) -> bool:
+    return factor_prime_power(n) is not None
 
 
 def test_prime_power_detection():

@@ -1,4 +1,5 @@
 """Brute-force oracle: weights, codes, duals, character sums, axioms."""
+import itertools
 import random
 from collections import Counter
 
@@ -162,6 +163,61 @@ def test_enumerate_code_edges():
     assert one_gen.code_size == 2
 
 
+def product_words(code: CodeSpec):
+    """Every codeword formed from scratch as sum s_i g_i over all scalar tuples."""
+    space = space_for(code.params)
+    mul = space.gf.mul_table
+    for scalars in itertools.product(range(space.gf.order), repeat=len(code.generators)):
+        acc = space.zero
+        for s, g in zip(scalars, code.generators):
+            if s:
+                acc = space.add(acc, tuple(mul[s][a] for a in g))
+        yield acc
+
+
+# F_4, F_8, F_9 and F_16 coordinates, and odd characteristic in every rank family
+WALK_CASES = [make_scheme("hamming", q, n=3) for q in (4, 8, 9, 16)] + [
+    make_scheme("gabidulin", 2, m=2, n=2),
+    make_scheme("gabidulin", 3, m=2, n=2),
+    make_scheme("bilinear", 3, m=2, n=2),
+    make_scheme("hermitian", 3, t=2),
+    make_scheme("skew", 3, t=3),
+]
+
+
+@pytest.mark.parametrize("params", WALK_CASES, ids=lambda p: f"{p.kind}-q{p.q}-{p.dims}")
+def test_enumerate_code_walk_matches_the_product_reference(params):
+    rng = random.Random(f"walk {params.kind} {params.q} {params.dims}")
+    for _ in range(10):
+        code = random_code(params, rng)
+        words = list(enumerate_code(code))
+        assert len(words) == len(set(words)) == code.code_size
+        assert set(words) == set(product_words(code))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_scheme("hamming", 2, n=5), make_scheme("hamming", 4, n=3), make_scheme("skew", 3, t=3)],
+    ids=["hamming-q2", "hamming-q4", "skew-q3"],
+)
+def test_enumerate_code_adds_once_per_word(monkeypatch, params):
+    calls = Counter()
+
+    class CountingSpace(SchemeSpace):
+        def add(self, u, v):
+            calls["add"] += 1
+            return super().add(u, v)
+
+    space = CountingSpace(params)
+    monkeypatch.setattr(oracle, "space_for", lambda p: space)
+    rng = random.Random(7)
+    for _ in range(5):
+        code = random_code(params, rng)
+        calls.clear()
+        assert sum(1 for _ in enumerate_code(code)) == code.code_size
+        assert calls["add"] == code.code_size - 1
+
+
 def test_enumerate_hamming_74():
     code = CodeSpec(params=HAM27, generators=HAMMING_74_GENS)
     words = list(enumerate_code(code))
@@ -263,6 +319,12 @@ def test_scheme_axioms():
         assert report["valencies"] == xi_vector(params)
 
 
+def weight_table(space) -> dict:
+    """Element -> weight for every element of the space, read off the by-index list."""
+    space.weight_buckets()
+    return dict(zip(space.elements(), space._by_index))
+
+
 def test_weight_table_matches_weight():
     cases = desk_schemes() + [
         make_scheme("hamming", 4, n=3),
@@ -272,9 +334,9 @@ def test_weight_table_matches_weight():
         sp = SchemeSpace(params)
         if params.space_size > SPACE_GUARD:
             with pytest.raises(ValueError):
-                sp.weight_table()
+                weight_table(sp)
             continue
-        table = sp.weight_table()
+        table = weight_table(sp)
         assert len(table) == params.space_size
         assert all(table[e] == sp.weight(e) for e in sp.elements())
         assert [len(b) for b in sp.weight_buckets()] == xi_vector(params)
@@ -389,6 +451,11 @@ def test_model_table_covers_every_kind():
     assert tuple(oracle._MODELS) == KINDS
 
 
+def _sub(space, u, v) -> tuple:
+    add, neg = space.gf.add_table, space.gf.neg_table
+    return tuple(add[a][neg[b]] for a, b in zip(u, v))
+
+
 def _index(space, coords) -> int:
     """The place of an element in elements() order."""
     i = 0
@@ -413,7 +480,7 @@ def test_whole_space_vectors_match_per_element_arithmetic(params):
     rng = random.Random(f"{params.kind}{params.q}{params.dims}")
     picks = [space.zero, elements[-1]] + [rng.choice(elements) for _ in range(3)]
     for xx in picks:
-        expected = [_index(space, space.sub(xx, z)) for z in elements]
+        expected = [_index(space, _sub(space, xx, z)) for z in elements]
         assert space._difference_indices(xx) == expected
     for y in picks:
         expected = [space.gf.abs_trace(space.pairing(z, y)) for z in elements]

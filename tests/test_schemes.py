@@ -7,6 +7,7 @@ from krawtchouk.eigenvalues import c_poly, hermitian_recurrence_equiv
 from krawtchouk.schemes import (
     FAMILIES,
     KINDS,
+    MAX_CLASSES,
     make_scheme,
     omega_enumerator,
     scheme_from_json,
@@ -49,6 +50,18 @@ def test_family_table_covers_every_kind():
 def test_space_size_is_cbn_power():
     for params in desk_schemes():
         assert params.cbn() ** params.n == params.space_size
+
+
+@pytest.mark.parametrize(
+    "kind, dims",
+    [("hamming", {"n": 65}), ("bilinear", {"m": 65, "n": 65})],
+    ids=["hamming", "bilinear"],
+)
+def test_make_scheme_enforces_the_class_bound(kind, dims):
+    assert MAX_CLASSES == 64
+    with pytest.raises(ValueError, match="class count 65 exceeds the supported 64"):
+        make_scheme(kind, 2, **dims)
+    assert make_scheme(kind, 2, **{key: 64 for key in dims}).n == 64
 
 
 def test_make_scheme_rejections():
