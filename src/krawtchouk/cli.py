@@ -27,6 +27,7 @@ from .schemes import scheme_from_json, xi_vector
 
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
+MAX_TRIALS = 100  # random codes per suite in one verify request
 
 # Only `verify` needs the brute-force oracle (and with it `fields` and
 # `random`), so those are imported inside cmd_verify and its suites; the
@@ -50,20 +51,21 @@ def _json_value(v):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_scheme(text: str):
+def _load_json(text: str, flag: str):
+    # json.loads raises RecursionError on deeply nested arrays or objects
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--scheme-json is not valid JSON: {exc}") from None
-    return scheme_from_json(obj)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+
+
+def _parse_scheme(text: str):
+    return scheme_from_json(_load_json(text, "--scheme-json"))
 
 
 def _parse_weights(text: str):
     """The --weights array; TransformInput checks its length and entries."""
-    try:
-        weights = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--weights is not valid JSON: {exc}") from None
+    weights = _load_json(text, "--weights")
     if not isinstance(weights, list):
         raise ValueError("--weights must be a JSON array")
     return weights
@@ -235,8 +237,8 @@ def cmd_verify(args):
     import random
 
     params = _parse_scheme(args.scheme_json)
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     results = {}

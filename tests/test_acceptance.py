@@ -12,19 +12,7 @@ from fractions import Fraction
 import pytest
 
 from krawtchouk import eigenvalues, macwilliams
-from krawtchouk.balgebra import (
-    NU_LINEAR,
-    b_derivative,
-    b_power,
-    b_product,
-    binv_derivative,
-    evaluate,
-    mu_family,
-    mu_linear,
-    nu_family,
-    poly_sum,
-    scale,
-)
+from krawtchouk.balgebra import b_product, mu_family
 from krawtchouk.bnary import beta, bpow, gamma, gauss, is_int, sigma
 from krawtchouk.eigenvalues import (
     c_poly,
@@ -53,6 +41,17 @@ from krawtchouk.oracle import (
 )
 from krawtchouk.schemes import FAMILIES, make_scheme, xi_vector
 
+from bcalculus import (
+    NU_LINEAR,
+    b_derivative,
+    b_power,
+    binv_derivative,
+    evaluate,
+    mu_linear,
+    nu_family,
+    poly_sum,
+    scale,
+)
 from conftest import (
     BASES,
     delta_closed,

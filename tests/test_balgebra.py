@@ -5,28 +5,25 @@ from fractions import Fraction
 import pytest
 
 from krawtchouk import balgebra
-from krawtchouk.balgebra import (
+from krawtchouk.balgebra import ConstPoly, HomPoly, b_product, mu_family
+from krawtchouk.bnary import beta, bpow, gamma, gauss, sigma
+
+from bcalculus import (
     NU_LINEAR,
     ONE,
     X,
     Y,
     ZERO,
-    ConstPoly,
-    HomPoly,
     b_derivative,
     b_power,
-    b_product,
     binv_derivative,
     constant,
     evaluate,
-    mu_family,
     mu_linear,
     nu_family,
     poly_sum,
     scale,
 )
-from krawtchouk.bnary import beta, bpow, gamma, gauss, sigma
-
 from conftest import (
     BASES,
     delta_closed,

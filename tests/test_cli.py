@@ -21,6 +21,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv):
+    """`python -m krawtchouk.cli` in a child importing the package from here."""
+    src = os.path.dirname(os.path.dirname(krawtchouk.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "krawtchouk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_scheme_info(capsys):
     code, out, _ = run_cli(capsys, "scheme", "info", "--scheme-json", '{"kind":"skew","q":2,"t":4}')
     assert code == 0
@@ -329,6 +341,40 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("trials", ["101", "100000000"])
+def test_verify_rejects_trials_above_the_bound(capsys, trials):
+    with within_seconds(1):
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--scheme-json", HAM3,
+            "--suite", "transform",
+            "--trials", trials,
+        )
+    assert (code, out) == (2, "")
+    assert "--trials" in err
+
+
+DEEP = "[" * 20000 + "]" * 20000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "info", "--scheme-json", DEEP],
+        ["transform", "--scheme-json", HAM3, "--weights", DEEP, "--code-size", "1"],
+    ],
+    ids=["scheme-json", "weights"],
+)
+def test_deeply_nested_json_exits_2(argv):
+    # json.loads raises RecursionError here, which used to escape as exit 1
+    proc = run_cli_process(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid input:")
+
+
 @pytest.mark.parametrize(
     "q, n, accepted",
     [
@@ -455,15 +501,7 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_entry_point():
-    # the child imports the package from where this process found it
-    src = os.path.dirname(os.path.dirname(krawtchouk.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "krawtchouk.cli", "scheme", "info", "--scheme-json", HAM3],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_cli_process("scheme", "info", "--scheme-json", HAM3)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spaceSize"] == 8
 
