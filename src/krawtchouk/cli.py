@@ -28,6 +28,7 @@ from .schemes import scheme_from_json, xi_vector
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 MAX_TRIALS = 100  # random codes per suite in one verify request
+MAX_MESSAGE = 200  # characters of an error message echoed to stderr
 
 # Only `verify` needs the brute-force oracle (and with it `fields` and
 # `random`), so those are imported inside cmd_verify and its suites; the
@@ -38,6 +39,12 @@ MAX_TRIALS = 100  # random codes per suite in one verify request
 
 class Violation(Exception):
     """A verified identity failed or a distribution is unrealizable."""
+
+
+def _brief(exc) -> str:
+    """The message, cut to MAX_MESSAGE characters when it echoes an oversized input."""
+    text = str(exc)
+    return text if len(text) <= MAX_MESSAGE else f"{text[:MAX_MESSAGE]}… ({len(text)} characters)"
 
 
 def _json_int(v: int):
@@ -324,13 +331,13 @@ def main(argv=None) -> int:
     try:
         result = args.fn(args)
     except UnrealizableDistribution as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_brief(exc)}", file=sys.stderr)
         return EXIT_VIOLATION
     except Violation as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        print(f"invalid input: {_brief(exc)}", file=sys.stderr)
         return EXIT_INVALID
     text = json.dumps(result, indent=2)
     if args.out:
@@ -338,7 +345,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"invalid input: cannot write --out: {exc}", file=sys.stderr)
+            print(f"invalid input: {_brief(f'cannot write --out: {exc}')}", file=sys.stderr)
             return EXIT_INVALID
     else:
         print(text)

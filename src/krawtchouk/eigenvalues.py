@@ -124,9 +124,9 @@ def tables(params: SchemeParams) -> tuple:
     return tuple(map(tuple, gauss_rows(n, b))), tuple(map(tuple, gamma_rows(n, b, params.c)))
 
 
-def _step(row: list, b) -> list:
-    """C_.(x, n) -> C_.(x+1, n+1) by the defining recurrence; row[k] = C_k(x, n)."""
-    return row[:1] + [b ** k * row[k] - b ** (k - 1) * row[k - 1] for k in range(1, len(row))]
+def _step(row: list, pows) -> list:
+    """C_.(x, n) -> C_.(x+1, n+1) by the defining recurrence; row[k] = C_k(x, n), pows[k] = b^k."""
+    return row[:1] + [pows[k] * row[k] - pows[k - 1] * row[k - 1] for k in range(1, len(row))]
 
 
 def _check_invariants(rows, params: SchemeParams) -> None:
@@ -157,12 +157,13 @@ def _check_invariants(rows, params: SchemeParams) -> None:
 def _eigenmatrix_cached(params: SchemeParams) -> tuple:
     n, b = params.n, params.b
     gauss_m, gamma_m = tables(params)
+    pows = [b ** k for k in range(n + 1)]
     rows = []
     for x in range(n + 1):
         m = n - x
         row = [g * h for g, h in zip(gauss_m[m], gamma_m[m])]
         for _ in range(x):
-            row = _step(row + [0], b)  # C_k(x, m) = 0 for k > m
+            row = _step(row + [0], pows)  # C_k(x, m) = 0 for k > m
         rows.append(tuple(row))
     _check_invariants(rows, params)
     return tuple(rows)
@@ -178,9 +179,10 @@ def _c_table(max_n: int, b, c) -> list:
 
 def _recurrence_sides(rows: list, b):
     """(n, x, k, lhs, rhs) of the defining recurrence for 0 <= x, k <= n < len(rows) - 1."""
+    pows = [b ** k for k in range(len(rows))]
     for n in range(len(rows) - 1):
         for x in range(n + 1):
-            stepped = _step(rows[n][x], b)
+            stepped = _step(rows[n][x], pows)
             for k in range(n + 1):
                 yield n, x, k, rows[n + 1][x + 1][k + 1], stepped[k + 1]
 

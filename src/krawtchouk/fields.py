@@ -37,7 +37,12 @@ def factor_prime_power(n: int):
 
 
 class GF:
-    """Finite field of the given order with precomputed tables."""
+    """Finite field of the given order; its dense tables are its arithmetic.
+
+    add_table[a][b], mul_table[a][b], neg_table[a], inv_table[a] (0 at 0),
+    frob_table[a] = a^p and trace_table[a], the absolute trace to F_p.  pow
+    is for any other exponent.
+    """
 
     def __init__(self, order: int):
         if order > MAX_ORDER:  # before factoring, which is trial division
@@ -101,6 +106,15 @@ class GF:
                     break
             else:
                 raise ArithmeticError(f"element {a} has no inverse; bad modulus?")
+        # a^p generates the automorphisms over F_p; AbsTr(a) = a + a^p + ... + a^(p^(k-1))
+        frob = self.frob_table = [self.pow(a, p) for a in range(n)]
+        traces, conj = [0] * n, list(range(n))
+        for _ in range(k):
+            traces = [self.add_table[t][c] for t, c in zip(traces, conj)]
+            conj = [frob[c] for c in conj]
+        if max(traces) >= p:
+            raise ArithmeticError("trace left the prime field")
+        self.trace_table = traces
 
     def _check_axioms(self):
         n = self.order
@@ -117,28 +131,11 @@ class GF:
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         raise ArithmeticError("distributivity failure")
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.inv_table[a]
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            a, e = self.inv(a), -e
+            if a == 0:
+                raise ZeroDivisionError("0 has no inverse")
+            a, e = self.inv_table[a], -e
         out = 1
         while e:
             if e & 1:
@@ -146,24 +143,6 @@ class GF:
             a = self.mul_table[a][a]
             e >>= 1
         return out
-
-    def frobenius(self, a: int) -> int:
-        """a^p, the generating automorphism over the prime field."""
-        return self.pow(a, self.p)
-
-    def conj(self, a: int, sub_order: int) -> int:
-        """a^sub_order; the involution fixing GF(sub_order) when k doubles it."""
-        return self.pow(a, sub_order)
-
-    def abs_trace(self, a: int) -> int:
-        """Absolute trace to F_p: a + a^p + ... + a^(p^(k-1)), an int < p."""
-        total, frob = 0, a
-        for _ in range(self.k):
-            total = self.add_table[total][frob]
-            frob = self.frobenius(frob)
-        if total >= self.p:
-            raise ArithmeticError("trace left the prime field")
-        return total
 
 
 _FIELD_CACHE = {}
@@ -185,6 +164,7 @@ def row_reduce(rows, gf: GF):
     if not rows:
         return [], []
     width = len(rows[0])
+    add, neg, mul, inv = gf.add_table, gf.neg_table, gf.mul_table, gf.inv_table
     pivots = []
     r = 0
     for col in range(width):
@@ -192,12 +172,13 @@ def row_reduce(rows, gf: GF):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = gf.inv(rows[r][col])
-        rows[r] = [gf.mul(inv, v) for v in rows[r]]
+        scale = mul[inv[rows[r][col]]]
+        rows[r] = [scale[v] for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [gf.sub(v, gf.mul(f, w)) for v, w in zip(rows[i], rows[r])]
+                # v - f w, as v + (-f) w
+                scale = mul[neg[rows[i][col]]]
+                rows[i] = [add[v][scale[w]] for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -233,11 +214,12 @@ def nullspace(rows, gf: GF, width: int) -> list:
     """Basis of {x in GF^width : M x^T = 0} for the given equation rows."""
     reduced, pivots = row_reduce(rows, gf)
     free = [c for c in range(width) if c not in pivots]
+    neg = gf.neg_table
     basis = []
     for fc in free:
         vec = [0] * width
         vec[fc] = 1
         for row, pc in zip(reduced, pivots):
-            vec[pc] = gf.neg(row[fc])
+            vec[pc] = neg[row[fc]]
         basis.append(tuple(vec))
     return basis

@@ -42,18 +42,23 @@ class TransformInput(Record):
             raise ValueError("distribution entries must be integers")
         if any(v < 0 for v in dist):
             raise ValueError("distribution entries must be nonnegative")
-        if not is_int(code_size):
-            raise ValueError(f"code size must be an integer, got {code_size!r}")
-        if code_size < 1:
-            raise ValueError("code size must be positive")
+        _check_code_size(code_size, params.space_size)
         if sum(dist) != code_size:
             raise ValueError(f"distribution sums to {sum(dist)}, expected |C| = {code_size}")
-        if params.space_size % code_size:
-            raise ValueError("code size must divide the space size")
         self._fill(dist, code_size, params)
 
     def dual_size(self) -> int:
         return self.params.space_size // self.code_size
+
+
+def _check_code_size(code_size, space_size: int) -> None:
+    """A code size is a positive int dividing |X|; ValueError otherwise."""
+    if not is_int(code_size):
+        raise ValueError(f"code size must be an integer, got {code_size!r}")
+    if code_size < 1:
+        raise ValueError("code size must be positive")
+    if space_size % code_size:
+        raise ValueError("code size must divide the space size")
 
 
 def _as_counts(values, size=1) -> list:
@@ -121,25 +126,32 @@ def transform_functional(tin: TransformInput) -> list:
     return _as_counts(acc, tin.code_size)
 
 
+def _moment_rhs(tin: TransformInput, phi: int):
+    """Check phi; then tail -> (c b^n)^(n-phi) tail / |C'|, either moment's right-hand side.
+
+    c b^n is an integer in every family.
+    """
+    n = tin.params.n
+    if not is_int(phi) or not 0 <= phi <= n:
+        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
+    scale = as_int(tin.params.cbn()) ** (n - phi)
+    return lambda tail: Fraction(scale * tail, tin.dual_size())
+
+
 def moment_b(tin: TransformInput, phi: int) -> tuple:
     """Both sides of the X-derivative moment identity at order phi.
 
     lhs = sum_{i<=n-phi} [n-i, phi] c_i
     rhs = (c b^n)^(n-phi)/|C'| * sum_{i<=phi} [n-i, n-phi] c'_i
 
-    Both sums are taken in integers over the Gaussian table (c b^n is an
-    integer in every family); the sides are returned as Fractions.
+    Both sums are taken in integers over the Gaussian table; the sides are
+    returned as Fractions.
     """
-    params = tin.params
-    n = params.n
-    if not is_int(phi) or not 0 <= phi <= n:
-        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
-    dual = _dual(tin)
-    rows = tables(params)[0]
+    rhs = _moment_rhs(tin, phi)
+    n, dual, rows = tin.params.n, _dual(tin), tables(tin.params)[0]
     lhs = sum(rows[n - i][phi] * tin.dist[i] for i in range(n - phi + 1))
     tail = sum(rows[n - i][n - phi] * dual[i] for i in range(phi + 1))
-    cbn = as_int(params.cbn())
-    return Fraction(lhs), Fraction(cbn ** (n - phi) * tail, tin.dual_size())
+    return Fraction(lhs), rhs(tail)
 
 
 def moment_binv(tin: TransformInput, phi: int) -> tuple:
@@ -152,13 +164,9 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
     Both sums are taken in integers over the Gaussian and gamma tables; the
     sides are returned as Fractions.
     """
-    params = tin.params
-    n = params.n
-    if not is_int(phi) or not 0 <= phi <= n:
-        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
-    dual = _dual(tin)
-    b = params.b
-    rows, gammas = tables(params)
+    rhs = _moment_rhs(tin, phi)
+    n, b, dual = tin.params.n, tin.params.b, _dual(tin)
+    rows, gammas = tables(tin.params)
     lhs = sum(
         b ** (phi * (n - i)) * rows[i][phi] * tin.dist[i] for i in range(phi, n + 1)
     )
@@ -171,8 +179,7 @@ def moment_binv(tin: TransformInput, phi: int) -> tuple:
             * dual[i]
         )
         tail += -term if i % 2 else term
-    cbn = as_int(params.cbn())
-    return Fraction(lhs), Fraction(cbn ** (n - phi) * tail, tin.dual_size())
+    return Fraction(lhs), rhs(tail)
 
 
 def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list:
@@ -192,10 +199,7 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     n = params.n
     if not is_int(d_s) or not 1 <= d_s <= n + 1:
         raise ValueError(f"d_s must be an integer in 1..{n + 1}, got {d_s!r}")
-    if not is_int(code_size):
-        raise ValueError(f"code size must be an integer, got {code_size!r}")
-    if code_size < 1 or params.space_size % code_size:
-        raise ValueError("code size must divide the space size")
+    _check_code_size(code_size, params.space_size)
     dual_size = params.space_size // code_size
     b = params.b
     cbn = as_int(params.cbn())

@@ -58,43 +58,44 @@ def _digit_rows(space, coords):
 
 def _alternating(space, coords):
     (t,) = space.params.dims
-    gf = space.gf
+    neg = space.gf.neg_table
     mat = [[0] * t for _ in range(t)]
     for (i, j), v in zip(_upper_pairs(t), coords):
         mat[i][j] = v
-        mat[j][i] = gf.neg(v)
+        mat[j][i] = neg[v]
     return mat
 
 
 def _conj_symmetric(space, coords):
-    # diagonal in F_q, upper entries are digit pairs in F_{q^2}
+    # diagonal in F_q, upper entries are digit pairs in F_{q^2}; conjugation
+    # a -> a^q is the Frobenius a -> a^p, since SchemeSpace admits prime q only
     (t,) = space.params.dims
-    q, ext = space.gf.order, space.rank_field
+    q, conj = space.gf.order, space.rank_field.frob_table
     mat = [[0] * t for _ in range(t)]
     for i in range(t):
         mat[i][i] = coords[i]
     for idx, (i, j) in enumerate(_upper_pairs(t)):
         s, u = coords[t + 2 * idx], coords[t + 2 * idx + 1]
         mat[i][j] = s + u * q
-        mat[j][i] = ext.conj(mat[i][j], q)
+        mat[j][i] = conj[mat[i][j]]
     return mat
 
 
 def _dot(space, u, v):
-    gf = space.gf
+    add, mul = space.gf.add_table, space.gf.mul_table
     total = 0
     for a, b in zip(u, v):
-        total = gf.add(total, gf.mul(a, b))
+        total = add[total][mul[a][b]]
     return total
 
 
 def _trace_form(space, u, v):
     a, bmat = space.matrix(u), space.matrix(v)
-    ext = space.rank_field
+    add, mul = space.rank_field.add_table, space.rank_field.mul_table
     total = 0
     for i in range(len(a)):
         for j in range(len(a)):
-            total = ext.add(total, ext.mul(a[i][j], bmat[j][i]))
+            total = add[total][mul[a[i][j]][bmat[j][i]]]
     if total >= space.gf.order:
         raise ArithmeticError("hermitian trace form left the base field")
     return total
@@ -203,14 +204,7 @@ class SchemeSpace:
 
     def gram_vector(self, y):
         """Row of pairings pairing(e_c, y), so pairing(x, y) = x . gram_vector."""
-        gf = self.gf
-        out = []
-        for row in self._gram:
-            acc = 0
-            for g, yv in zip(row, y):
-                acc = gf.add(acc, gf.mul(g, yv))
-            out.append(acc)
-        return out
+        return [_dot(self, row, y) for row in self._gram]
 
     def weight_buckets(self):
         """All elements of the space grouped by weight (cached).
@@ -246,10 +240,10 @@ class SchemeSpace:
     def _traces(self, y) -> list:
         """AbsTr(pairing(z, y)) for every z, in elements() order; the trace is additive."""
         gf = self.gf
-        p, mul = gf.p, gf.mul_table
+        p, mul, trace = gf.p, gf.mul_table, gf.trace_table
         out = [0]
         for g in self.gram_vector(y):
-            row = [gf.abs_trace(mul[a][g]) for a in range(gf.order)]
+            row = [trace[mul[a][g]] for a in range(gf.order)]
             out = [(t + r) % p for t in out for r in row]
         return out
 

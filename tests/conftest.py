@@ -132,6 +132,14 @@ def desk_schemes(max_n: int = 4):
     return out
 
 
+def pow_trace(gf, a: int) -> int:
+    """AbsTr(a) = sum_i a^(p^i), through pow and add_table; a reference that never reads trace_table."""
+    total = 0
+    for i in range(gf.k):
+        total = gf.add_table[total][gf.pow(a, gf.p ** i)]
+    return total
+
+
 @contextlib.contextmanager
 def within_seconds(limit: float):
     """Raise TimeoutError, instead of hanging, if the block runs too long."""

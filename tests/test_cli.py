@@ -9,6 +9,8 @@ import pytest
 import krawtchouk
 from krawtchouk import cli, schemes
 from krawtchouk.cli import main
+from krawtchouk.macwilliams import TransformInput, maximal_distribution, moment_b
+from krawtchouk.schemes import scheme_from_json
 
 from conftest import within_seconds
 
@@ -373,6 +375,43 @@ def test_deeply_nested_json_exits_2(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("invalid input:")
+
+
+BIG = "9" * 5000
+HAM3_PARAMS = scheme_from_json(json.loads(HAM3))
+
+
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (
+            ["moments", "--scheme-json", HAM3, "--weights", "[1,0,0,1]", "--code-size", "2", "--phi", BIG],
+            lambda: moment_b(TransformInput((1, 0, 0, 1), 2, HAM3_PARAMS), int(BIG)),
+        ),
+        (
+            ["maximal", "--scheme-json", HAM3, "--d", BIG, "--code-size", "2"],
+            lambda: maximal_distribution(HAM3_PARAMS, int(BIG), 2),
+        ),
+        (
+            ["transform", "--scheme-json", HAM3, "--weights", f"[1,0,0,{BIG}]", "--code-size", "2"],
+            lambda: TransformInput((1, 0, 0, int(BIG)), 2, HAM3_PARAMS),
+        ),
+        (
+            ["scheme", "info", "--scheme-json", '{"kind": %s, "q": 2, "n": 3}' % ("[" * 900 + "]" * 900)],
+            lambda: scheme_from_json({"kind": json.loads("[" * 900 + "]" * 900), "q": 2, "n": 3}),
+        ),
+    ],
+    ids=["phi", "d", "weight", "nested-kind"],
+)
+def test_long_error_messages_are_cut_to_one_short_line(capsys, argv, reference):
+    code, out, err = run_cli(capsys, *argv)
+    with pytest.raises(ValueError) as info:
+        reference()
+    full = str(info.value)
+    assert len(full) > cli.MAX_MESSAGE == 200
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {full[:200]}… ({len(full)} characters)\n"
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize(

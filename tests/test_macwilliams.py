@@ -60,6 +60,12 @@ def test_input_rejects_non_integers():
         maximal_distribution(HAM23, True, 2)
     with pytest.raises(ValueError, match="code size must be an integer"):
         maximal_distribution(HAM23, 2, 2.0)
+    # maximal_distribution and TransformInput share one code-size rule
+    for size in (0, -4):
+        with pytest.raises(ValueError, match="code size must be positive"):
+            maximal_distribution(HAM23, 2, size)
+        with pytest.raises(ValueError, match="code size must be positive"):
+            TransformInput(dist=(1, 0, 0, 0), code_size=size, params=HAM23)
     tin = _tin(HAM23, (1, 0, 0, 1))
     for fn in (moment_b, moment_binv):
         with pytest.raises(ValueError):
