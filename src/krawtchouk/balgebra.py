@@ -7,7 +7,8 @@ lambda - i, which is why a polynomial is a map lambda -> coefficient row,
 memoised one row per lambda, rather than one stored vector.  Each operation
 computes its lambda-free factors once, when it is built, and builds a row
 from its operands' rows.  Row maps must be pure, so the memo writes are
-idempotent and values stay safe to evaluate from concurrent readers.
+idempotent and values stay safe to evaluate from concurrent readers.  Degrees
+are ints, and coefficients and bases ints or Fractions (bnary.check_int, exact).
 
 In production only schemes.omega_enumerator evaluates a HomPoly (mu_family
 at lambda = n, as its cross-check).  macwilliams.transform_functional sums
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnary import bpow, gamma, gauss
+from .bnary import bpow, check_int, exact, gamma, gauss
 
 _ZERO = Fraction(0)
 
@@ -34,9 +35,7 @@ class HomPoly:
     __slots__ = ("degree", "_row_fn", "_rows")
 
     def __init__(self, degree: int, row_fn):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
+        self.degree = check_int("degree", degree, 0)
         self._row_fn = row_fn
         self._rows = {}
 
@@ -63,7 +62,7 @@ class ConstPoly(HomPoly):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(v) for v in coeffs)
+        coeffs = tuple(exact("a coefficient", v) for v in coeffs)
         if not coeffs:
             raise ValueError("need at least the degree-0 coefficient")
         self.coeffs = coeffs
@@ -75,7 +74,7 @@ def b_product(a: HomPoly, g: HomPoly, b) -> HomPoly:
 
     s is the degree of the second factor; the product is not commutative.
     """
-    b = Fraction(b)
+    b = exact("the base b", b)
     s = g.degree
     powers = [bpow(b, i * s) for i in range(a.degree + 1)]
 
@@ -96,7 +95,6 @@ def mu_family(k: int, b, c) -> HomPoly:
 
     Coefficient of Y^u X^(k-u) is [k choose u]_b * gamma_{b,c}(lambda, u).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_int("k", k, 0)
     gausses = [gauss(k, u, b) for u in range(k + 1)]
     return HomPoly(k, lambda lam: [g * gamma(lam, u, b, c) for u, g in enumerate(gausses)])

@@ -2,13 +2,15 @@
 
 Everything here is evaluated at a concrete base b (and constant c), never
 symbolically, and floats are never introduced.  gauss, beta, gamma and bpow
-take any rational base and compute with exact rationals; the base b = 1 is a
-special branch wherever the generic product would divide by zero: Gaussian
-coefficients degenerate to binomial coefficients and the beta product to the
-falling factorial.  gauss_rows and gamma_rows build whole tables in plain
-integers for a nonzero int base, the case of every scheme family; the
-rational functions are their references.  The library reads the tables
-through one bounded per-scheme cache, eigenvalues.tables.
+take b and c as an int or a Fraction (check_int and exact, the one argument
+rule, reject a float, str or bool rather than convert it) and compute with
+exact rationals; the base b = 1 is a special branch wherever the generic
+product would divide by zero: Gaussian coefficients degenerate to binomial
+coefficients and the beta product to the falling factorial.  gauss_rows and
+gamma_rows build whole tables in plain integers for a nonzero int base, the
+case of every scheme family; the rational functions are their references.
+The library reads the tables through one bounded per-scheme cache,
+eigenvalues.tables.
 """
 from __future__ import annotations
 
@@ -18,17 +20,24 @@ from fractions import Fraction
 
 def sigma(i: int) -> int:
     """Triangular number i(i-1)/2, defined for i >= 0."""
-    if i < 0:
-        raise ValueError(f"sigma requires i >= 0, got {i}")
-    return i * (i - 1) // 2
+    return check_int("i", i, 0) * (i - 1) // 2
 
 
 def bpow(b, e: int) -> Fraction:
     """Exact integer power of a nonzero rational; negative exponents allowed."""
-    b = Fraction(b)
+    b, e = exact("the base b", b), check_int("e", e)
     if b == 0 and e < 0:
         raise ZeroDivisionError("0 cannot be raised to a negative power")
     return b ** e
+
+
+def _args(x: int, k: int, b, x_lo=None) -> Fraction:
+    """Check gauss's, beta's and gamma's x (>= x_lo), k >= 0 and nonzero b; b as a Fraction."""
+    check_int("x", x, x_lo)
+    check_int("k", k, 0)
+    if (b := exact("the base b", b)) == 0:
+        raise ValueError("the base b must be nonzero")
+    return b
 
 
 def gauss(x: int, k: int, b) -> Fraction:
@@ -37,11 +46,7 @@ def gauss(x: int, k: int, b) -> Fraction:
     Returns 1 for k = 0 (empty product) and 0 for k > x.  At b = 1 this is
     the ordinary binomial coefficient (the limit of the product).
     """
-    if x < 0 or k < 0:
-        raise ValueError(f"gauss requires x, k >= 0, got x={x}, k={k}")
-    b = Fraction(b)
-    if b == 0:
-        raise ValueError("gauss requires b != 0")
+    b = _args(x, k, b, 0)
     if k == 0:
         return Fraction(1)
     if k > x:
@@ -63,29 +68,20 @@ def beta(x: int, k: int, b) -> Fraction:
     the whole product is the falling factorial there.  The argument x may be
     any integer; negative exponents are evaluated exactly.
     """
-    if k < 0:
-        raise ValueError(f"beta requires k >= 0, got {k}")
-    b = Fraction(b)
-    if b == 0:
-        raise ValueError("beta requires b != 0")
+    b = _args(x, k, b)
     total = Fraction(1)
     for i in range(k):
         if b == 1:
             total *= x - i
         else:
-            total *= (bpow(b, x - i) - 1) / (b - 1)
+            total *= (b ** (x - i) - 1) / (b - 1)
     return total
 
 
 def gamma(x: int, k: int, b, c) -> Fraction:
     """b-nary gamma product: prod_{i<k} (c*b^x - b^i), 1 for k = 0."""
-    if k < 0:
-        raise ValueError(f"gamma requires k >= 0, got {k}")
-    b = Fraction(b)
-    c = Fraction(c)
-    if b == 0:
-        raise ValueError("gamma requires b != 0")
-    cbx = c * bpow(b, x)
+    b = _args(x, k, b)
+    cbx = exact("the constant c", c) * b ** x
     total = Fraction(1)
     for i in range(k):
         total *= cbx - b ** i
@@ -94,8 +90,7 @@ def gamma(x: int, k: int, b, c) -> Fraction:
 
 def _check_table(n, b) -> None:
     """Reject a table size n that is not an int >= 0 and a base b that is not a nonzero int."""
-    if not is_int(n) or n < 0:
-        raise ValueError(f"table size n must be an integer >= 0, got {n!r}")
+    check_int("table size n", n, 0)
     if not is_int(b) or b == 0:
         raise ValueError(f"the base b must be a nonzero integer, got {b!r}")
 
@@ -125,8 +120,7 @@ def gamma_rows(n: int, b: int, c) -> list:
     without forming c b^0.
     """
     _check_table(n, b)
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise ValueError(f"the constant c must be an int or Fraction, got {c!r}")
+    exact("the constant c", c)
     pows = [b ** ell for ell in range(n)]
     rows = [[1]]
     cbm = as_int(c * b) if n else 0
@@ -141,7 +135,7 @@ def gamma_rows(n: int, b: int, c) -> list:
 
 def as_int(v) -> int:
     """Convert an exact rational known to be integral; raises otherwise."""
-    f = Fraction(v)
+    f = exact("value", v)
     if f.denominator != 1:
         raise ValueError(f"expected an integer value, got {f}")
     return f.numerator
@@ -150,3 +144,18 @@ def as_int(v) -> int:
 def is_int(v) -> bool:
     """True for an int that is not a bool, the only accepted integer input."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_int(name: str, v, lo=None, hi=None) -> int:
+    """v if it is an int (not a bool) in lo..hi, else ValueError naming it; hi needs lo."""
+    if is_int(v) and (lo is None or lo <= v) and (hi is None or v <= hi):
+        return v
+    bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValueError(f"{name} must be an integer{bound}, got {v!r}")
+
+
+def exact(name: str, v) -> Fraction:
+    """Fraction(v) for an int (not a bool) or a Fraction, else ValueError naming it."""
+    if is_int(v) or isinstance(v, Fraction):
+        return Fraction(v)
+    raise ValueError(f"{name} must be an int or Fraction, got {v!r}")

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bnary import gamma, gauss
+from .bnary import check_int, gamma, gauss
 from .eigenvalues import check_recurrence, eigenmatrix
 from .macwilliams import (
     TransformInput,
@@ -39,6 +39,13 @@ MAX_MESSAGE = 200  # characters of an error message echoed to stderr
 
 class Violation(Exception):
     """A verified identity failed or a distribution is unrealizable."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error raises ValueError, so main reports it as one capped line."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _brief(exc) -> str:
@@ -244,8 +251,7 @@ def cmd_verify(args):
     import random
 
     params = _parse_scheme(args.scheme_json)
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
+    check_int("--trials", args.trials, 1, MAX_TRIALS)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     results = {}
@@ -271,7 +277,7 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krawtchouk",
         description="Exact MacWilliams-identity toolkit for Krawtchouk association schemes",
     )
@@ -326,9 +332,8 @@ def main(argv=None) -> int:
         # the size budget, not Python's 4300-digit default, bounds the
         # integers a command reads and prints
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
     except UnrealizableDistribution as exc:
         print(f"error: {_brief(exc)}", file=sys.stderr)

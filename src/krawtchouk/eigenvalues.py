@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import bpow, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
+from .bnary import bpow, check_int, exact, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
 
 
 class SchemeParams(Record):
@@ -40,8 +40,7 @@ class SchemeParams(Record):
 
 def c_value(k: int, x: int, n: int, b, c) -> Fraction:
     """b-Krawtchouk polynomial C_k(x, n) for raw parameters b, c."""
-    b = Fraction(b)
-    c = Fraction(c)
+    b, c = exact("the base b", b), exact("the constant c", c)
     total = Fraction(0)
     for j in range(k + 1):
         term = (
@@ -68,8 +67,8 @@ def _gamma(x: int, k: int, b: Fraction, c: Fraction) -> Fraction:
 
 def delsarte_value(k: int, x: int, n: int, b, c) -> Fraction:
     """Delsarte's generalised Krawtchouk polynomial P_k(x, n)."""
-    b = Fraction(b)
-    cbn = Fraction(c) * bpow(b, n)
+    b = exact("the base b", b)
+    cbn = exact("the constant c", c) * bpow(b, n)
     total = Fraction(0)
     for j in range(k + 1):
         term = (
@@ -194,8 +193,7 @@ def check_recurrence(params: SchemeParams, max_n: int) -> list:
     all 0 <= x, k <= n < max_n, evaluating each C_k(x, n) once.  Returns the
     list of violations (expected empty), each as a (n, x, k, lhs, rhs) tuple.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    check_int("max_n", max_n, 1)
     rows = _c_table(max_n, params.b, params.c)
     return [v for v in _recurrence_sides(rows, params.b) if v[3] != v[4]]
 
@@ -209,10 +207,10 @@ def hermitian_recurrence_equiv(q: int, t_max: int) -> list:
     and that the two right-hand sides match term for term.  Returns the
     violation list (expected empty).
     """
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
-    b = Fraction(-q)
-    rows = _c_table(t_max, b, Fraction(-1))
+    check_int("q", q, 2)
+    check_int("t_max", t_max, 2)
+    b = -q
+    rows = _c_table(t_max, b, -1)
     violations = []
     for t, x, k, lhs, delsarte in _recurrence_sides(rows, b):
         schmidt = rows[t + 1][x][k + 1] + bpow(b, 2 * t + 1 - x) * rows[t][x][k]

@@ -16,7 +16,7 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import as_int, is_int, sigma
+from .bnary import as_int, check_int, is_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix, tables
 
 
@@ -53,9 +53,7 @@ class TransformInput(Record):
 
 def _check_code_size(code_size, space_size: int) -> None:
     """A code size is a positive int dividing |X|; ValueError otherwise."""
-    if not is_int(code_size):
-        raise ValueError(f"code size must be an integer, got {code_size!r}")
-    if code_size < 1:
+    if check_int("code size", code_size) < 1:
         raise ValueError("code size must be positive")
     if space_size % code_size:
         raise ValueError("code size must divide the space size")
@@ -132,8 +130,7 @@ def _moment_rhs(tin: TransformInput, phi: int):
     c b^n is an integer in every family.
     """
     n = tin.params.n
-    if not is_int(phi) or not 0 <= phi <= n:
-        raise ValueError(f"phi must be an integer in 0..{n}, got {phi!r}")
+    check_int("phi", phi, 0, n)
     scale = as_int(tin.params.cbn()) ** (n - phi)
     return lambda tail: Fraction(scale * tail, tin.dual_size())
 
@@ -197,13 +194,13 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
     no maximal code exists with them, or the inputs are inconsistent.
     """
     n = params.n
-    if not is_int(d_s) or not 1 <= d_s <= n + 1:
-        raise ValueError(f"d_s must be an integer in 1..{n + 1}, got {d_s!r}")
+    check_int("d_s", d_s, 1, n + 1)
     _check_code_size(code_size, params.space_size)
     dual_size = params.space_size // code_size
     b = params.b
     cbn = as_int(params.cbn())
     rows = tables(params)[0]
+    spows = [b ** sigma(j) for j in range(n - d_s + 1)]  # b^sigma(j), once per call, not per term
 
     counts = [0] * (n + 1)
     counts[0] = dual_size
@@ -211,7 +208,7 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
         total = 0
         for i in range(w + 1):
             term = (
-                b ** sigma(w - i)
+                spows[w - i]
                 * rows[d_s + w][d_s + i]
                 * rows[n][d_s + w]
                 * (cbn ** (d_s + i) - dual_size)

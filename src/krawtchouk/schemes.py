@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnary import is_int
+from .bnary import check_int
 from .eigenvalues import SchemeParams, tables
 
 
@@ -69,8 +69,7 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
     """
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if not is_int(q) or q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q!r}")
+    check_int("q", q, 2)
     keys, exponent, rule = FAMILIES[kind]
     missing, extra = set(keys) - set(dims), set(dims) - set(keys)
     if missing or extra:
@@ -79,8 +78,7 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
         )
     raw = tuple(dims[key] for key in keys)
     for key, v in zip(keys, raw):
-        if not is_int(v) or v < 1:
-            raise ValueError(f"dimension {key} must be a positive integer, got {v!r}")
+        check_int(f"dimension {key}", v, 1)
     e = exponent(*raw)
     # q >= 2^(bits-1), so the first test rejects without forming q^e; once it
     # passes, q^e < 2^(2 MAX_SPACE_BITS) is cheap to form and compare exactly.
@@ -96,9 +94,7 @@ def make_scheme(kind: str, q: int, **dims) -> SchemeParams:
 
 def xi(params: SchemeParams, omega: int) -> int:
     """Number of ambient elements of weight omega: [n,w]_b * gamma(n,w)."""
-    if not is_int(omega) or not 0 <= omega <= params.n:
-        raise ValueError(f"omega must be an integer in 0..{params.n}, got {omega!r}")
-    return xi_vector(params)[omega]
+    return xi_vector(params)[check_int("omega", omega, 0, params.n)]
 
 
 def xi_vector(params: SchemeParams) -> list:

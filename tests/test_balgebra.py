@@ -334,6 +334,32 @@ def test_coefficients_memoised_and_pure():
         HomPoly(2, lambda lam: [Fraction(1)] * 2).coeffs_at(0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ConstPoly([0.1]), "a coefficient"),
+        (lambda: ConstPoly([1, "2"]), "a coefficient"),
+        (lambda: HomPoly(1.5, lambda lam: [1, 1]), "degree"),
+        (lambda: HomPoly(True, lambda lam: [1, 1]), "degree"),
+        (lambda: mu_family(2.0, 2, 3), "k"),
+        (lambda: mu_family(2, 2.0, 3), "the base b"),
+        (lambda: b_product(ConstPoly([1, 1]), ConstPoly([1, 2]), 2.0), "the base b"),
+    ],
+)
+def test_floats_strings_and_bools_are_rejected_not_converted(call, name):
+    # ConstPoly([0.1]) held the float's binary value 3602879701896397/2^55,
+    # and the others were accepted
+    with pytest.raises(ValueError, match=f"^{name} must be an (integer|int or Fraction)"):
+        call()
+
+
+def test_int_and_fraction_arguments_give_fraction_coefficients():
+    half = Fraction(1, 2)
+    assert ConstPoly([1, half]).coeffs == (1, half)
+    for poly in (ConstPoly([1, half]), mu_family(2, half, 3), b_product(ConstPoly([1, 1]), ConstPoly([1, 2]), 2)):
+        assert all(type(v) is Fraction for v in poly.coeffs_at(2))
+
+
 def test_mu_family_computes_its_gaussian_row_once(monkeypatch):
     calls = []
 

@@ -61,6 +61,39 @@ def test_as_int():
         as_int(Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: gauss(2.0, 1, 2), "x"),
+        (lambda: beta(2.0, 1, 2), "x"),
+        (lambda: gamma(2.0, 1, 2, 3), "x"),
+        (lambda: gauss(2, 1.0, 2), "k"),
+        (lambda: sigma(2.5), "i"),
+        (lambda: sigma(True), "i"),
+        (lambda: gauss(3, 1, "1/2"), "the base b"),
+        (lambda: beta(2, 1, "3"), "the base b"),
+        (lambda: gamma(2, 1, True, 3), "the base b"),
+        (lambda: gamma(2, 1, 2, 0.5), "the constant c"),
+        (lambda: bpow(0.5, 2), "the base b"),
+        (lambda: bpow(2, 2.0), "e"),
+        (lambda: as_int(2.0), "value"),
+    ],
+)
+def test_floats_strings_and_bools_are_rejected_not_converted(call, name):
+    # before bnary.check_int and bnary.exact each of these returned a value
+    # (a float for a float x) or failed with a TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an (integer|int or Fraction)"):
+        call()
+
+
+def test_int_and_fraction_arguments_give_fractions():
+    half = Fraction(1, 2)
+    for value in (gauss(3, 1, 2), gauss(3, 1, half), beta(3, 2, half), gamma(2, 1, 2, half), bpow(half, -2)):
+        assert type(value) is Fraction
+    assert (gauss(3, 1, half), gamma(2, 1, 2, half), bpow(half, -2)) == (Fraction(7, 4), 1, 4)
+    assert type(as_int(Fraction(4, 2))) is int
+
+
 def test_integer_tables_match_rational_forms():
     n = 7
     for b in (1, 2, 3, 4, 9, -2, -3):

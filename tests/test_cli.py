@@ -377,6 +377,24 @@ def test_deeply_nested_json_exits_2(argv):
     assert lines[0].startswith("invalid input:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--scheme-json", HAM3, "--weights", "[1,0,0,1]", "--code-size", "2", "--phi", "1." + "5" * 5000],
+        ["scheme", "info", "--scheme-json", HAM3, "--bogus"],
+        ["scheme", "info"],
+        ["transform", "--scheme-json", HAM3, "--weights", "[1,0,0,1]", "--code-size", "2", "--method", "bogus"],
+    ],
+    ids=["long-phi", "unknown-flag", "missing-scheme-json", "bad-method"],
+)
+def test_usage_errors_are_one_short_invalid_input_line(capsys, argv):
+    # argparse's own errors used to print the usage lines and exit from inside
+    # parse_args, uncapped; they now take main's invalid-input path
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and err.count("\n") == 1 and len(err) < 300
+
+
 BIG = "9" * 5000
 HAM3_PARAMS = scheme_from_json(json.loads(HAM3))
 

@@ -185,6 +185,33 @@ def test_check_recurrence_rejects_bad_bound():
         check_recurrence(SKEW2, 0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: c_value(1, 0, 2, 2.0, 3), "the base b"),
+        (lambda: c_value(1, 0, 2, 2, "3"), "the constant c"),
+        (lambda: delsarte_value(1, 0, 2, True, 3), "the base b"),
+        (lambda: delsarte_value(1, 0, 2, 2, 0.5), "the constant c"),
+        (lambda: check_recurrence(SKEW2, True), "max_n"),
+        (lambda: check_recurrence(SKEW2, 2.0), "max_n"),
+        (lambda: hermitian_recurrence_equiv(2.5, 3), "q"),
+        (lambda: hermitian_recurrence_equiv(True, 3), "q"),
+        (lambda: hermitian_recurrence_equiv(2, 3.0), "t_max"),
+    ],
+)
+def test_floats_strings_and_bools_are_rejected_not_converted(call, name):
+    # the recurrence checks returned [] (no violations) on these, and
+    # hermitian_recurrence_equiv(True, 3) divided by zero
+    with pytest.raises(ValueError, match=f"^{name} must be an (integer|int or Fraction)"):
+        call()
+
+
+def test_closed_forms_take_int_and_fraction_arguments():
+    for b, c in ((2, 3), (Fraction(2), Fraction(3))):
+        assert type(c_value(1, 0, 2, b, c)) is type(delsarte_value(1, 0, 2, b, c)) is Fraction
+    assert hermitian_recurrence_equiv(2, 3) == []
+
+
 def test_check_recurrence_evaluates_each_closed_form_once(monkeypatch):
     seen = Counter()
 
