@@ -188,14 +188,20 @@ def _suite_recurrence(params, trials, rng):
     return {"ok": not violations, "violations": [str(v[:3]) for v in violations]}
 
 
-def _suite_transform(params, trials, rng):
-    from .oracle import dual_code, random_code, weight_distribution
+def _random_inputs(params, trials, rng):
+    """(trial, code, the code's TransformInput) for each of `trials` random codes."""
+    from .oracle import random_code, weight_distribution
 
-    failures = []
     for trial in range(trials):
         code = random_code(params, rng)
-        dist = weight_distribution(code)
-        tin = TransformInput(dist=tuple(dist), code_size=code.code_size, params=params)
+        yield trial, code, TransformInput(weight_distribution(code), code.code_size, params)
+
+
+def _suite_transform(params, trials, rng):
+    from .oracle import dual_code, weight_distribution
+
+    failures = []
+    for trial, code, tin in _random_inputs(params, trials, rng):
         expected = weight_distribution(dual_code(code))
         got_e = transform_eigen(tin)
         got_f = transform_functional(tin)
@@ -208,13 +214,8 @@ def _suite_transform(params, trials, rng):
 
 
 def _suite_moments(params, trials, rng):
-    from .oracle import random_code, weight_distribution
-
     failures = []
-    for trial in range(trials):
-        code = random_code(params, rng)
-        dist = weight_distribution(code)
-        tin = TransformInput(dist=tuple(dist), code_size=code.code_size, params=params)
+    for trial, _, tin in _random_inputs(params, trials, rng):
         for phi in range(params.n + 1):
             for name, fn in (("b", moment_b), ("binv", moment_binv)):
                 lhs, rhs = fn(tin, phi)
@@ -272,7 +273,7 @@ def cmd_verify(args):
         "ok": ok,
     }
     if not ok:
-        raise Violation(json.dumps(out, indent=2))
+        raise Violation(json.dumps(out))  # one stderr line, uncapped: callers parse it
     return out
 
 

@@ -40,6 +40,8 @@ class SchemeParams(Record):
 
 def c_value(k: int, x: int, n: int, b, c) -> Fraction:
     """b-Krawtchouk polynomial C_k(x, n) for raw parameters b, c."""
+    check_int("k", k, 0)  # no upper bound: _c_table evaluates C_{n+1}(x, n)
+    check_int("x", x, 0, check_int("n", n, 0))
     b, c = exact("the base b", b), exact("the constant c", c)
     total = Fraction(0)
     for j in range(k + 1):
@@ -67,6 +69,8 @@ def _gamma(x: int, k: int, b: Fraction, c: Fraction) -> Fraction:
 
 def delsarte_value(k: int, x: int, n: int, b, c) -> Fraction:
     """Delsarte's generalised Krawtchouk polynomial P_k(x, n)."""
+    check_int("k", k, 0)
+    check_int("x", x, 0, check_int("n", n, 0))
     b = exact("the base b", b)
     cbn = exact("the constant c", c) * bpow(b, n)
     total = Fraction(0)

@@ -56,10 +56,7 @@ class GF:
         self.digits = tuple(
             tuple(a // self.p ** i % self.p for i in range(self.k)) for a in range(order)
         )
-        if self.k == 1:
-            self.modulus = None
-        else:
-            self.modulus = _MODULI[(self.p, self.k)]
+        self.modulus = _MODULI[(self.p, self.k)] if self.k > 1 else None
         self._build_tables()
         self._check_axioms()
 
@@ -86,16 +83,12 @@ class GF:
                     if x:
                         for j, y in enumerate(db):
                             prod[i + j] = (prod[i + j] + x * y) % p
-                if k > 1:
-                    mod = self.modulus
-                    for deg in range(2 * k - 2, k - 1, -1):
-                        coef = prod[deg]
-                        if coef:
-                            prod[deg] = 0
-                            for j in range(k):
-                                prod[deg - k + j] = (
-                                    prod[deg - k + j] - coef * mod[j]
-                                ) % p
+                for deg in range(2 * k - 2, k - 1, -1):  # empty at k = 1
+                    coef = prod[deg]
+                    if coef:
+                        prod[deg] = 0
+                        for j in range(k):
+                            prod[deg - k + j] = (prod[deg - k + j] - coef * self.modulus[j]) % p
                 self.mul_table[a][b] = self._undigits(prod[:k])
         self.neg_table = [self._undigits([(-d) % p for d in da]) for da in self.digits]
         self.inv_table = [0] * n

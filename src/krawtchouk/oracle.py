@@ -8,13 +8,13 @@ of that model live in one table, _MODELS, kept apart from schemes.FAMILIES
 so that the oracle shares no per-kind code with the algebra it checks.
 Everything here is exhaustive; it exists to verify the algebraic side.
 
-Each space, the first time it is enumerated, computes every element's
-weight once and keeps it in the weight buckets and in a list indexed by
-the element's place i in elements() order, i = sum_c coords[c] q^(d-1-c).  The axiom and character-sum checks work on
-those indices: they build whole-space vectors one coordinate at a time
-(index(x - z) for every z, and AbsTr(pairing(z, y)) for every z) and count
-pairs with collections.Counter, instead of forming one tuple per element.
-Tuples stay at every public boundary.
+Each space keeps one whole-space table: the weight of every element, each
+computed once, listed by the element's place i = sum_c coords[c] q^(d-1-c)
+in elements() order.  Its weight buckets are lists of such indices.  The
+axiom and character-sum checks build whole-space vectors one coordinate at
+a time (index(x - z) and AbsTr(pairing(z, y)) for every z) and count pairs
+with collections.Counter; element(i) forms a tuple only for a representative,
+a sampled element or a violation message.
 """
 from __future__ import annotations
 
@@ -141,8 +141,6 @@ class SchemeSpace:
 
         assert self.gf.order ** self.dim == params.space_size
         self.zero = (0,) * self.dim
-        self._buckets = None
-        self._by_index = None  # weight of the i-th element of elements()
         self._trace_tallies = {}  # x -> per-representative Counter of (weight, trace)
 
     # -- structure ----------------------------------------------------------
@@ -162,6 +160,11 @@ class SchemeSpace:
         if self.params.space_size > SPACE_GUARD:
             raise ValueError(f"space of size {self.params.space_size} too large to enumerate")
         return itertools.product(range(self.gf.order), repeat=self.dim)
+
+    def element(self, i: int) -> tuple:
+        """The i-th element of elements(): the base-q digits of i, most significant first."""
+        q, d = self.gf.order, self.dim
+        return tuple(i // q ** (d - 1 - c) % q for c in range(d))
 
     def add(self, u, v):
         add = self.gf.add_table
@@ -206,24 +209,22 @@ class SchemeSpace:
         """Row of pairings pairing(e_c, y), so pairing(x, y) = x . gram_vector."""
         return [_dot(self, row, y) for row in self._gram]
 
-    def weight_buckets(self):
-        """All elements of the space grouped by weight (cached).
+    @functools.cached_property
+    def _by_index(self) -> list:
+        """weight(element(i)) for every i, each computed once through `weight`."""
+        return [self.weight(e) for e in self.elements()]
 
-        The first call computes each element's weight once, through
-        `weight`, and fills the by-index weight list alongside the buckets.
-        An element whose weight lies outside 0..n is in the list only.
+    def weight_buckets(self) -> list:
+        """Per weight 0..n, the indices of its elements in elements() order (built per call).
+
+        An index whose weight lies outside 0..n is in no bucket.
         """
-        if self._buckets is None:
-            n = self.params.n
-            buckets = [[] for _ in range(n + 1)]
-            by_index = []
-            for e in self.elements():
-                w = self.weight(e)
-                by_index.append(w)
-                if 0 <= w <= n:
-                    buckets[w].append(e)
-            self._buckets, self._by_index = buckets, by_index
-        return self._buckets
+        n = self.params.n
+        buckets = [[] for _ in range(n + 1)]
+        for i, w in enumerate(self._by_index):
+            if 0 <= w <= n:
+                buckets[w].append(i)
+        return buckets
 
     # -- whole-space vectors, indexed like elements() ------------------------
 
@@ -250,14 +251,17 @@ class SchemeSpace:
     def _trace_tally(self, x) -> list:
         """Per representative y of weight x: Counter of (weight(e), AbsTr(pairing(e, y))).
 
-        The representatives are the first element of the weight-x bucket
-        and, if it holds more than one, the last.  Cached per x.
+        The representatives are the first element of weight x in elements()
+        order and, if it is not the only one, the last.  Cached per x.
         """
         tallies = self._trace_tallies.get(x)
         if tallies is None:
-            bucket = self.weight_buckets()[x]
-            reps = [bucket[0]] if len(bucket) == 1 else [bucket[0], bucket[-1]]
-            tallies = [Counter(zip(self._by_index, self._traces(y))) for y in reps]
+            weights = self._by_index
+            if x not in weights:
+                raise ArithmeticError(f"no element of weight {x}")
+            first, last = weights.index(x), len(weights) - 1 - weights[::-1].index(x)
+            reps = [first] if first == last else [first, last]
+            tallies = [Counter(zip(weights, self._traces(self.element(i)))) for i in reps]
             self._trace_tallies[x] = tallies
         return tallies
 
@@ -267,8 +271,8 @@ def space_for(params: SchemeParams) -> SchemeSpace:
     return _space_cached(params)
 
 
-# Bounded, since each enumerated space holds up to SPACE_GUARD elements in
-# its buckets and their weights in its by-index list.  space_for stays a
+# Bounded, since each enumerated space holds the weights of up to
+# SPACE_GUARD elements in its by-index list.  space_for stays a
 # plain function in front of it, which is what perfbench's tracer can wrap.
 @functools.lru_cache(maxsize=16)
 def _space_cached(params: SchemeParams) -> SchemeSpace:
@@ -377,38 +381,36 @@ def verify_scheme_axioms(params: SchemeParams, seed: int = 0) -> dict:
     space = space_for(params)
     n = params.n
     violations = []
-    buckets = space.weight_buckets()
     by_index = space._by_index
+    buckets = space.weight_buckets()
 
     def weights_from(xx):
         """weight(xx - z) for every z, in elements() order."""
         return [by_index[i] for i in space._difference_indices(xx)]
 
-    # element 0 of elements() is the zero vector
-    for i, ((e, w), w_neg) in enumerate(zip(zip(space.elements(), by_index), weights_from(space.zero))):
+    # element 0 of elements() is the zero vector, and w0[i] is the weight of -element(i)
+    w0 = weights_from(space.zero)
+    for i, (w, w_neg) in enumerate(zip(by_index, w0)):
         if (w == 0) != (i == 0):
-            violations.append(f"weight-0 class is not the diagonal at {e}")
+            violations.append(f"weight-0 class is not the diagonal at {space.element(i)}")
         if w_neg != w:
-            violations.append(f"weight is not symmetric at {e}")
+            violations.append(f"weight is not symmetric at {space.element(i)}")
         if not 0 <= w <= n:
-            violations.append(f"weight {w} out of range at {e}")
+            violations.append(f"weight {w} out of range at {space.element(i)}")
 
     # intersection numbers are indexed by weight, so they need every weight in range
     in_range = all(0 <= w <= n for w in by_index)
     relations = range(n + 1) if in_range else range(0)
     rng = random.Random(seed)
-    elements = [e for bucket in buckets for e in bucket]
     for kk in relations:
         if not buckets[kk]:
             violations.append(f"empty relation at distance {kk}")
             continue
-        pairs = [(space.zero, y) for y in _spread(buckets[kk], AXIOM_SAMPLES)]
-        for _ in range(2):
-            z = rng.choice(elements)
-            y = rng.choice(buckets[kk])
-            pairs.append((z, space.add(y, z)))
-        # every weight is in range here, so z runs over the whole space
-        tables = [Counter(zip(weights_from(xx), weights_from(yy))) for xx, yy in pairs]
+        # each relation is a set of differences x - y (a translation scheme,
+        # Delsarte 1973), so a pair (z, z + y) has the table of (0, y): every
+        # sample is paired with zero, and z runs over the whole space
+        ys = _spread(buckets[kk], AXIOM_SAMPLES) + [rng.choice(buckets[kk]) for _ in range(2)]
+        tables = [Counter(zip(w0, weights_from(space.element(y)))) for y in ys]
         if any(t != tables[0] for t in tables[1:]):
             violations.append(f"intersection numbers not constant on relation {kk}")
         row_sums = [0] * (n + 1)

@@ -259,6 +259,7 @@ def test_verify_eigen_suite_checks_the_printed_matrix(capsys, monkeypatch):
     )
     assert code == 3
     assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
     report = json.loads(err.removeprefix("verification failed: "))
     assert report["results"]["eigen"]["violations"] == [
         f"(k=2, x=1): char {entries[1][2] - 1} != poly {entries[1][2]}"

@@ -206,6 +206,24 @@ def test_floats_strings_and_bools_are_rejected_not_converted(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        # the first five were read as numbers (33, 5, 33, 9 and 0); the last
+        # failed inside gauss, naming its x
+        (c_value, (True, 0, 2, 2, 3), "k"),
+        (c_value, (1, 0, True, 2, 3), "n"),
+        (delsarte_value, (True, 0, 2, 2, 3), "k"),
+        (delsarte_value, (1, True, 2, 2, 3), "x"),
+        (c_value, (-1, 0, 2, 2, 3), "k"),
+        (delsarte_value, (1, 0, -1, 2, 3), "n"),
+    ],
+)
+def test_closed_forms_check_k_x_and_n(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args)
+
+
 def test_closed_forms_take_int_and_fraction_arguments():
     for b, c in ((2, 3), (Fraction(2), Fraction(3))):
         assert type(c_value(1, 0, 2, b, c)) is type(delsarte_value(1, 0, 2, b, c)) is Fraction

@@ -1,6 +1,7 @@
 """Brute-force oracle: weights, codes, duals, character sums, axioms."""
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -477,6 +478,7 @@ def test_whole_space_vectors_match_per_element_arithmetic(params):
     space = SchemeSpace(params)
     elements = list(space.elements())
     assert [_index(space, e) for e in elements] == list(range(len(elements)))
+    assert [space.element(i) for i in range(len(elements))] == elements
     rng = random.Random(f"{params.kind}{params.q}{params.dims}")
     picks = [space.zero, elements[-1]] + [rng.choice(elements) for _ in range(3)]
     for xx in picks:
@@ -485,6 +487,48 @@ def test_whole_space_vectors_match_per_element_arithmetic(params):
     for y in picks:
         expected = [pow_trace(space.gf, space.pairing(z, y)) for z in elements]
         assert space._traces(y) == expected
+
+
+@pytest.mark.parametrize("params", INDEX_CASES, ids=lambda p: f"{p.kind}-q{p.q}-{p.dims}")
+def test_translated_pairs_have_the_table_of_pairs_with_zero(params):
+    # the relations depend on x - y only, which is why the axioms check samples pairs (0, y)
+    space = SchemeSpace(params)
+    weights = space._by_index
+
+    def table(xx, yy):
+        rows = ([weights[i] for i in space._difference_indices(v)] for v in (xx, yy))
+        return Counter(zip(*rows))
+
+    rng = random.Random(f"translate {params.kind}{params.q}{params.dims}")
+    for _ in range(3):
+        z, y = (space.element(rng.randrange(params.space_size)) for _ in range(2))
+        assert table(z, space.add(z, y)) == table(space.zero, y)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_scheme("hamming", 2, n=12), make_scheme("bilinear", 2, m=4, n=3),
+     make_scheme("gabidulin", 2, m=4, n=3)],
+    ids=["hamming-q2-n12", "bilinear-q2-4x3", "gabidulin-q2-4x3"],
+)
+def test_weight_table_keeps_no_tuple_per_element(params):
+    space = SchemeSpace(params)
+    space.weight(space.zero)  # warm the field's and the rank path's own caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert [len(b) for b in space.weight_buckets()] == xi_vector(params)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 16 * params.space_size
+
+
+def test_character_sum_reports_an_empty_weight_class(monkeypatch):
+    # the weight-2 elements are given weight 3, so class 2 has no representative
+    _patch_weight(monkeypatch, lambda e: 3 if sum(e) == 2 else sum(e))
+    with pytest.raises(ArithmeticError, match="no element of weight 2"):
+        char_eigenvalue(HAM23, 0, 2)
 
 
 def test_index_cases_cover_odd_and_extension_fields():
