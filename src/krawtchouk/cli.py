@@ -30,9 +30,9 @@ EXIT_VIOLATION = 3
 MAX_TRIALS = 100  # random codes per suite in one verify request
 MAX_MESSAGE = 200  # characters of an error message echoed to stderr
 
-# Only `verify` needs the brute-force oracle (and with it `fields` and
-# `random`), so those are imported inside cmd_verify and its suites; the
-# algebra commands start without them.  A function-level import reads the
+# Only `verify` needs the brute-force oracle (and with it `fields`), so it is
+# imported inside cmd_verify and the oracle suites: the algebra commands and
+# `verify --suite recurrence` run without it.  A function-level import reads the
 # oracle module's attribute at call time, so perfbench's tracer, which
 # rebinds those attributes, still counts every oracle call.
 
@@ -119,18 +119,14 @@ def cmd_scheme_eigenmatrix(args):
 def cmd_transform(args):
     params = _parse_scheme(args.scheme_json)
     tin = TransformInput(dist=_parse_weights(args.weights), code_size=args.code_size, params=params)
-    out = {"kind": params.kind, "codeSize": _json_int(args.code_size), "method": args.method}
-    if args.method in ("eigen", "both"):
-        out["dual"] = [_json_int(v) for v in transform_eigen(tin)]
-    if args.method in ("functional", "both"):
-        dual_f = transform_functional(tin)
-        if args.method == "functional":
-            out["dual"] = [_json_int(v) for v in dual_f]
-        else:
-            agree = out["dual"] == [_json_int(v) for v in dual_f]
-            out["agree"] = agree
-            if not agree:
-                raise Violation("eigenmatrix and functional transforms disagree")
+    routes = (("eigen", transform_eigen), ("functional", transform_functional))
+    duals = [[_json_int(v) for v in fn(tin)] for name, fn in routes if args.method in (name, "both")]
+    out = {"kind": params.kind, "codeSize": _json_int(args.code_size), "method": args.method,
+           "dual": duals[0]}
+    if args.method == "both":
+        out["agree"] = duals[0] == duals[1]
+        if not out["agree"]:
+            raise Violation("eigenmatrix and functional transforms disagree")
     return out
 
 
@@ -164,8 +160,7 @@ def cmd_maximal(args):
 def _suite_axioms(params, trials, rng):
     from .oracle import verify_scheme_axioms
 
-    report = verify_scheme_axioms(params, seed=rng.randrange(1 << 30))
-    return {"ok": report["ok"], "violations": report["violations"]}
+    return verify_scheme_axioms(params, seed=rng.randrange(1 << 30))["violations"]
 
 
 def _suite_eigen(params, trials, rng):
@@ -180,12 +175,11 @@ def _suite_eigen(params, trials, rng):
             cp = entries[x][k]
             if cs != cp:
                 mismatches.append(f"(k={k}, x={x}): char {cs} != poly {cp}")
-    return {"ok": not mismatches, "violations": mismatches}
+    return mismatches
 
 
 def _suite_recurrence(params, trials, rng):
-    violations = check_recurrence(params, max_n=min(params.n + 2, 6))
-    return {"ok": not violations, "violations": [str(v[:3]) for v in violations]}
+    return [str(v[:3]) for v in check_recurrence(params, max_n=min(params.n + 2, 6))]
 
 
 def _random_inputs(params, trials, rng):
@@ -210,7 +204,7 @@ def _suite_transform(params, trials, rng):
                 f"trial {trial}: dim {len(code.generators)}: "
                 f"eigen {got_e}, functional {got_f}, brute force {expected}"
             )
-    return {"ok": not failures, "violations": failures, "trials": trials}
+    return failures
 
 
 def _suite_moments(params, trials, rng):
@@ -221,31 +215,19 @@ def _suite_moments(params, trials, rng):
                 lhs, rhs = fn(tin, phi)
                 if lhs != rhs:
                     failures.append(f"trial {trial} phi={phi} {name}: {lhs} != {rhs}")
-    return {"ok": not failures, "violations": failures, "trials": trials}
+    return failures
 
 
+# name: (suite, the oracle guard |X| must not exceed, or None).  axioms and eigen
+# enumerate all of X, up to SPACE_GUARD points; a code and its dual together hold at
+# most |X| + 1 words, so under ENUM_GUARD every code transform and moments draw fits.
 _SUITES = {
-    "axioms": _suite_axioms,
-    "eigen": _suite_eigen,
-    "recurrence": _suite_recurrence,
-    "transform": _suite_transform,
-    "moments": _suite_moments,
+    "axioms": (_suite_axioms, "SPACE_GUARD"),
+    "eigen": (_suite_eigen, "SPACE_GUARD"),
+    "recurrence": (_suite_recurrence, None),
+    "transform": (_suite_transform, "ENUM_GUARD"),
+    "moments": (_suite_moments, "ENUM_GUARD"),
 }
-
-
-def _suite_applicable(name, params):
-    """None, or why the suite is skipped on this scheme.
-
-    The whole-space suites stop at SPACE_GUARD points and the code suites at
-    ENUM_GUARD: a code and its dual together hold at most |X| + 1 words.
-    """
-    from .oracle import ENUM_GUARD, SPACE_GUARD
-
-    guard = {"axioms": SPACE_GUARD, "eigen": SPACE_GUARD,
-             "transform": ENUM_GUARD, "moments": ENUM_GUARD}.get(name)
-    if guard is not None and params.space_size > guard:
-        return f"space size {params.space_size} exceeds the {guard} guard"
-    return None
 
 
 def cmd_verify(args):
@@ -257,13 +239,21 @@ def cmd_verify(args):
     rng = random.Random(args.seed)
     results = {}
     for name in names:
-        reason = _suite_applicable(name, params)
-        if reason is not None:
-            if args.suite != "all":
-                raise ValueError(f"suite {name!r} not applicable: {reason}")
-            results[name] = {"ok": True, "skipped": reason}
-            continue
-        results[name] = _SUITES[name](params, args.trials, rng)
+        suite, guard_name = _SUITES[name]
+        if guard_name is not None:
+            from . import oracle
+
+            guard = getattr(oracle, guard_name)  # read per call: it may be patched
+            if params.space_size > guard:
+                reason = f"space size {params.space_size} exceeds the {guard} guard"
+                if args.suite != "all":
+                    raise ValueError(f"suite {name!r} not applicable: {reason}")
+                results[name] = {"ok": True, "skipped": reason}
+                continue
+        violations = suite(params, args.trials, rng)
+        results[name] = {"ok": not violations, "violations": violations}
+        if guard_name == "ENUM_GUARD":  # a code suite: it drew --trials codes
+            results[name]["trials"] = args.trials
     ok = all(r["ok"] for r in results.values())
     out = {
         "kind": params.kind,

@@ -585,3 +585,47 @@ def test_cli_import_leaves_the_oracle_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
+
+
+def test_verify_recurrence_loads_no_oracle():
+    # the recurrence suite is the paper's algebra alone; only a suite with an
+    # oracle guard imports the brute-force oracle
+    src = os.path.dirname(os.path.dirname(krawtchouk.__file__))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from krawtchouk import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['verify', '--scheme-json', {HAM3!r}, '--suite', 'recurrence'])\n"
+        "heavy = ('krawtchouk.oracle', 'krawtchouk.fields')\n"
+        "print(json.dumps([code, [name for name in heavy if name in sys.modules]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_verify_report_keys(capsys):
+    # cmd_verify builds every suite report; the code suites add their trial count
+    code, out, _ = run_cli(
+        capsys, "verify", "--scheme-json", HAM3, "--suite", "all", "--trials", "3", "--seed", "1"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert {name: list(r) for name, r in results.items()} == {
+        "axioms": ["ok", "violations"],
+        "eigen": ["ok", "violations"],
+        "recurrence": ["ok", "violations"],
+        "transform": ["ok", "violations", "trials"],
+        "moments": ["ok", "violations", "trials"],
+    }
+    assert results["transform"]["trials"] == results["moments"]["trials"] == 3
+    for spec, skipped in ((HAM2_13, ("axioms", "eigen")), (HAM2_21, ("transform", "moments"))):
+        code, out, _ = run_cli(capsys, "verify", "--scheme-json", spec, "--suite", "all", "--trials", "3")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [list(results[name]) for name in skipped] == [["ok", "skipped"]] * 2
