@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import bpow, check_int, exact, gamma, gamma_rows, gauss, gauss_rows, is_int, sigma
+from .bnary import bpow, check_int, exact, gamma, gamma_rows, gauss, gauss_rows, sigma
 
 
 class SchemeParams(Record):
@@ -85,22 +85,15 @@ def delsarte_value(k: int, x: int, n: int, b, c) -> Fraction:
     return total
 
 
-def _check_range(k: int, x: int, n: int) -> None:
-    if not (is_int(k) and is_int(x)):
-        raise ValueError(f"k and x must be integers, got k={k!r}, x={x!r}")
-    if not (0 <= k <= n and 0 <= x <= n):
-        raise ValueError(f"require 0 <= k, x <= n, got k={k}, x={x}, n={n}")
-
-
 def c_poly(k: int, x: int, params: SchemeParams) -> Fraction:
-    """Scheme eigenvalue C_k(x, n) at the scheme's (b, c, n)."""
-    _check_range(k, x, params.n)
+    """Scheme eigenvalue C_k(x, n) at the scheme's (b, c, n); c_value checks x."""
+    check_int("k", k, 0, params.n)
     return c_value(k, x, params.n, params.b, params.c)
 
 
 def delsarte_p(k: int, x: int, params: SchemeParams) -> Fraction:
-    """Scheme eigenvalue in Delsarte's form at the scheme's (b, c, n)."""
-    _check_range(k, x, params.n)
+    """Scheme eigenvalue in Delsarte's form at the scheme's (b, c, n); delsarte_value checks x."""
+    check_int("k", k, 0, params.n)
     return delsarte_value(k, x, params.n, params.b, params.c)
 
 

@@ -16,12 +16,13 @@ import functools
 from fractions import Fraction
 
 from ._record import Record
-from .bnary import as_int, check_int, is_int, sigma
+from .bnary import as_int, check_int, sigma
 from .eigenvalues import SchemeParams, eigenmatrix, tables
 
 
 class UnrealizableDistribution(ValueError):
-    """The transform produced a non-integer or negative dual count."""
+    """No linear code in the scheme has the distribution: a dual count is
+    not a nonnegative integer, or a maximal code fails its certificate."""
 
 
 class TransformInput(Record):
@@ -38,10 +39,8 @@ class TransformInput(Record):
         dist = tuple(dist)
         if len(dist) != n + 1:
             raise ValueError(f"distribution must have {n + 1} entries")
-        if not all(is_int(v) for v in dist):
-            raise ValueError("distribution entries must be integers")
-        if any(v < 0 for v in dist):
-            raise ValueError("distribution entries must be nonnegative")
+        for v in dist:
+            check_int("a distribution entry", v, 0)
         _check_code_size(code_size, params.space_size)
         if sum(dist) != code_size:
             raise ValueError(f"distribution sums to {sum(dist)}, expected |C| = {code_size}")
@@ -53,9 +52,7 @@ class TransformInput(Record):
 
 def _check_code_size(code_size, space_size: int) -> None:
     """A code size is a positive int dividing |X|; ValueError otherwise."""
-    if check_int("code size", code_size) < 1:
-        raise ValueError("code size must be positive")
-    if space_size % code_size:
+    if space_size % check_int("code size", code_size, 1):
         raise ValueError("code size must divide the space size")
 
 
@@ -190,8 +187,11 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
 
     Each count is summed in integers as |C'| c_{d_s+w}, with
     (c b^n)^(d_s+i) - |C'| in the last factor, and then divided exactly.
-    Parameters yielding negative or fractional counts are rejected: either
-    no maximal code exists with them, or the inputs are inconsistent.
+    The counts are returned only with a certificate that a code with them
+    is maximal: they sum to |C|, c_{d_s} >= 1 (for d_s <= n), and their
+    MacWilliams transform is a nonnegative integer vector that is 0 on
+    weights 1..n+1-d_s, so d' = n + 2 - d_s.  Anything else raises
+    UnrealizableDistribution: no maximal code has these parameters.
     """
     n = params.n
     check_int("d_s", d_s, 1, n + 1)
@@ -217,13 +217,19 @@ def maximal_distribution(params: SchemeParams, d_s: int, code_size: int) -> list
         counts[d_s + w] = total
     try:
         out = _as_counts(counts, dual_size)
+        if sum(out) != code_size:
+            raise UnrealizableDistribution(f"counts sum to {sum(out)}, expected {code_size}")
+        if d_s <= n and not out[d_s]:
+            raise UnrealizableDistribution(f"the count at weight {d_s} is 0")
+        dual = transform_eigen(TransformInput(out, code_size, params))
+        for k in range(1, n + 2 - d_s):
+            if dual[k]:
+                raise UnrealizableDistribution(
+                    f"the dual has {dual[k]} words of weight {k}, below d' = {n + 2 - d_s}"
+                )
     except UnrealizableDistribution as exc:
         raise UnrealizableDistribution(
             f"no maximal code with d_s={d_s}, |C|={code_size} in this scheme: {exc}"
         ) from None
-    if sum(out) != code_size:
-        raise UnrealizableDistribution(
-            f"maximal-code counts sum to {sum(out)}, expected {code_size}"
-        )
     return out
 

@@ -24,7 +24,7 @@ import random
 from collections import Counter
 
 from ._record import Record
-from .bnary import is_int
+from .bnary import check_int, is_int
 from .eigenvalues import SchemeParams
 from .fields import field, matrix_rank, nullspace
 
@@ -354,8 +354,8 @@ def char_eigenvalue(params: SchemeParams, k: int, x: int) -> int:
     """
     space = space_for(params)
     n = params.n
-    if not (is_int(k) and is_int(x) and 0 <= k <= n and 0 <= x <= n):
-        raise ValueError(f"require integers 0 <= k, x <= {n}, got k={k!r}, x={x!r}")
+    check_int("k", k, 0, n)
+    check_int("x", x, 0, n)
     sums = []
     for tally in space._trace_tally(x):
         counts = [tally[k, a] for a in range(space.gf.p)]
@@ -432,8 +432,6 @@ def verify_scheme_axioms(params: SchemeParams, seed: int = 0) -> dict:
 
 
 def _spread(seq, count):
-    if len(seq) <= count:
-        return list(seq)
     step = max(1, len(seq) // count)
     return list(seq[::step][:count])
 

@@ -22,8 +22,7 @@ def _rank_metric(q, m, n):
 
 
 def _skew(q, t):
-    if t < 2:
-        raise ValueError("skew scheme needs t >= 2")
+    check_int("dimension t", t, 2)
     c = Fraction(q) if t % 2 else Fraction(1, q)
     return q * q, c, t // 2
 

@@ -391,14 +391,25 @@ def _fraction_maximal(params, d_s, code_size):
         counts[d_s + w] = total
     try:
         out = macwilliams._as_counts(counts)
+        if sum(out) != code_size:
+            raise UnrealizableDistribution(f"counts sum to {sum(out)}, expected {code_size}")
+        if d_s <= n and not out[d_s]:
+            raise UnrealizableDistribution(f"the count at weight {d_s} is 0")
+        # the certificate's dual, c P / |C| in Fractions
+        rows = eigenmatrix(params)
+        dual = macwilliams._as_counts(
+            sum((Fraction(ci) * row[k] for ci, row in zip(out, rows)), Fraction(0)) / code_size
+            for k in range(n + 1)
+        )
+        for k in range(1, n + 2 - d_s):
+            if dual[k]:
+                raise UnrealizableDistribution(
+                    f"the dual has {dual[k]} words of weight {k}, below d' = {n + 2 - d_s}"
+                )
     except UnrealizableDistribution as exc:
         raise UnrealizableDistribution(
             f"no maximal code with d_s={d_s}, |C|={code_size} in this scheme: {exc}"
         ) from None
-    if sum(out) != code_size:
-        raise UnrealizableDistribution(
-            f"maximal-code counts sum to {sum(out)}, expected {code_size}"
-        )
     return out
 
 

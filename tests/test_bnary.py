@@ -1,10 +1,15 @@
 """b-nary combinatorics: definitional examples and the identity suite."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from krawtchouk.bnary import as_int, beta, bpow, gamma, gamma_rows, gauss, gauss_rows, sigma
+from krawtchouk.eigenvalues import c_poly, delsarte_p
+from krawtchouk.macwilliams import TransformInput, maximal_distribution, moment_b, moment_binv
+from krawtchouk.oracle import char_eigenvalue
+from krawtchouk.schemes import make_scheme, xi
 
 from conftest import BASES
 
@@ -84,6 +89,37 @@ def test_floats_strings_and_bools_are_rejected_not_converted(call, name):
     # (a float for a float x) or failed with a TypeError
     with pytest.raises(ValueError, match=f"^{name} must be an (integer|int or Fraction)"):
         call()
+
+
+_HAM23 = make_scheme("hamming", 2, n=3)
+_TIN = TransformInput((1, 0, 0, 1), 2, _HAM23)
+# (argument name, call with the argument, an int out of its range)
+_INTEGER_ARGUMENTS = {
+    "c_poly k": ("k", lambda v: c_poly(v, 1, _HAM23), 4),
+    "c_poly x": ("x", lambda v: c_poly(1, v, _HAM23), 4),
+    "delsarte_p k": ("k", lambda v: delsarte_p(v, 1, _HAM23), -1),
+    "delsarte_p x": ("x", lambda v: delsarte_p(1, v, _HAM23), -1),
+    "char_eigenvalue k": ("k", lambda v: char_eigenvalue(_HAM23, v, 0), 4),
+    "char_eigenvalue x": ("x", lambda v: char_eigenvalue(_HAM23, 0, v), -1),
+    "TransformInput entry": ("a distribution entry", lambda v: TransformInput((1, 0, 0, v), 2, _HAM23), -1),
+    "TransformInput code_size": ("code size", lambda v: TransformInput((1, 0, 0, 1), v, _HAM23), 0),
+    "maximal_distribution d_s": ("d_s", lambda v: maximal_distribution(_HAM23, v, 2), 5),
+    "maximal_distribution code_size": ("code size", lambda v: maximal_distribution(_HAM23, 2, v), 0),
+    "moment_b phi": ("phi", lambda v: moment_b(_TIN, v), 4),
+    "moment_binv phi": ("phi", lambda v: moment_binv(_TIN, v), -1),
+    "xi omega": ("omega", lambda v: xi(_HAM23, v), 4),
+    "make_scheme skew t": ("dimension t", lambda v: make_scheme("skew", 2, t=v), 1),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", "out of range"], ids=["bool", "float", "str", "out of range"])
+@pytest.mark.parametrize("argument", list(_INTEGER_ARGUMENTS))
+def test_every_integer_argument_has_one_message_shape(argument, value):
+    # bnary.check_int words every rejected integer argument the same way
+    name, call, out_of_range = _INTEGER_ARGUMENTS[argument]
+    shape = rf"^{re.escape(name)} must be an integer( >= -?\d+| in -?\d+\.\.\d+)?, got "
+    with pytest.raises(ValueError, match=shape):
+        call(out_of_range if value == "out of range" else value)
 
 
 def test_int_and_fraction_arguments_give_fractions():

@@ -69,9 +69,9 @@ def test_range_rejected():
     # indices are not coerced: a bool or float is rejected, not read as 0/1
     for bad in (True, 1.0, Fraction(1)):
         for form in (c_poly, delsarte_p):
-            with pytest.raises(ValueError, match="must be integers"):
+            with pytest.raises(ValueError, match=r"^k must be an integer in 0\.\.3, got "):
                 form(bad, 1, HAM23)
-            with pytest.raises(ValueError, match="must be integers"):
+            with pytest.raises(ValueError, match=r"^x must be an integer in 0\.\.3, got "):
                 form(1, bad, HAM23)
 
 

@@ -62,9 +62,9 @@ def test_input_rejects_non_integers():
         maximal_distribution(HAM23, 2, 2.0)
     # maximal_distribution and TransformInput share one code-size rule
     for size in (0, -4):
-        with pytest.raises(ValueError, match="code size must be positive"):
+        with pytest.raises(ValueError, match="code size must be an integer >= 1, got "):
             maximal_distribution(HAM23, 2, size)
-        with pytest.raises(ValueError, match="code size must be positive"):
+        with pytest.raises(ValueError, match="code size must be an integer >= 1, got "):
             TransformInput(dist=(1, 0, 0, 0), code_size=size, params=HAM23)
     tin = _tin(HAM23, (1, 0, 0, 1))
     for fn in (moment_b, moment_binv):
@@ -294,6 +294,49 @@ def test_maximal_rejects_impossible_parameters():
         maximal_distribution(params, 0, 4)
     with pytest.raises(ValueError):
         maximal_distribution(params, 2, 3)
+
+
+# (scheme, d_s, |C|) whose forced counts the MacWilliams transform alone
+# does not reject: the dual is fractional, negative or has a word below
+# weight n + 2 - d_s, or no word has weight d_s
+SPURIOUS_MAXIMAL = [
+    (HAM23, 3, 8),  # [1, 0, 0, 7]: one word of weight 3 exists, not 7
+    (HAM23, 2, 2),
+    (make_scheme("bilinear", 2, m=3, n=2), 1, 8),
+    (make_scheme("gabidulin", 3, m=2, n=2), 1, 9),
+    (make_scheme("skew", 2, t=5), 1, 32),
+    (make_scheme("hermitian", 3, t=2), 2, 9),
+]
+
+
+def _is_maximal(params, d_s, dist):
+    """The certificate, with the dual from the functional route."""
+    n = params.n
+    try:
+        dual = transform_functional(TransformInput(dist, sum(dist), params))
+    except UnrealizableDistribution:
+        return False
+    return (d_s > n or dist[d_s] >= 1) and not any(dual[1 : n + 2 - d_s])
+
+
+def test_maximal_rejects_distributions_no_code_has():
+    for params, d_s, size in SPURIOUS_MAXIMAL:
+        with pytest.raises(UnrealizableDistribution, match=f"^no maximal code with d_s={d_s}, "):
+            maximal_distribution(params, d_s, size)
+    found = set()
+    for params in (make_scheme("hamming", 2, n=4), make_scheme("bilinear", 2, m=3, n=2)):
+        sizes = [2 ** e for e in range(params.space_size.bit_length())]
+        for d_s in range(1, params.n + 2):
+            for size in sizes:
+                try:
+                    dist = maximal_distribution(params, d_s, size)
+                except UnrealizableDistribution:
+                    continue
+                assert _is_maximal(params, d_s, dist), (params, d_s, size, dist)
+                found.add((params.kind, d_s, size))
+    # repetition, parity and whole-space codes; the MRD codes of every distance
+    assert {("hamming", 4, 2), ("hamming", 2, 8), ("hamming", 1, 16)} <= found
+    assert {("bilinear", 1, 64), ("bilinear", 2, 8), ("bilinear", 3, 1)} <= found
 
 
 def test_invert_triangular_trivial_and_unit():
